@@ -10,7 +10,7 @@ import numpy as np
 
 from lcckit import (apply_normalizer, discriminate, fit_discriminator,
                     fit_normalizer, gen_gaussian_pair, stratified_split,
-                    train_lcc, transform)
+                    train_lcc)
 
 data = gen_gaussian_pair((0, 0), np.eye(2), (1.8, 1.4),
                          [[1.0, 0.3], [0.3, 1.0]], 150, seed=5)
@@ -20,8 +20,8 @@ train = apply_normalizer(norm, train)
 test = apply_normalizer(norm, test)
 
 model = train_lcc(train)
-projected_train = transform(model, train.features)
-projected_test = transform(model, test.features)
+projected_train = model.transform(train.features)
+projected_test = model.transform(test.features)
 
 for kind in ("dist", "one_nn", "one_sv"):
     rule = fit_discriminator(kind, projected_train, train.labels, model)

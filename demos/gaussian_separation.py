@@ -9,8 +9,7 @@ against simply projecting onto the raw center difference.
 import numpy as np
 
 from lcckit import (apply_normalizer, class_centers, demo_gaussian_pair,
-                    fit_normalizer, predict, roc_auc, score, train_lcc,
-                    transform)
+                    fit_normalizer, roc_auc, train_lcc)
 
 data = demo_gaussian_pair()          # 200 points per class, seed 42
 norm = fit_normalizer(data)
@@ -23,7 +22,7 @@ beta0 = (c_pos - c_neg) / np.abs(c_pos - c_neg).max()
 naive = ready.features @ beta0
 
 model = train_lcc(ready)
-trained = transform(model, ready.features)
+trained = model.transform(ready.features)
 
 for name, values in (("naive", naive), ("trained", trained)):
     lo_pos = values[ready.labels == 1].min()
@@ -31,8 +30,8 @@ for name, values in (("naive", naive), ("trained", trained)):
     print(f"{name:8s} negative max {hi_neg:8.4f}   positive min {lo_pos:8.4f}"
           f"   gap {lo_pos - hi_neg:8.4f}")
 
-labels = predict(model, ready.features)
-auc = roc_auc(score(model, ready.features), ready.labels).auc
+labels = model.predict(ready.features)
+auc = roc_auc(model.score(ready.features), ready.labels).auc
 print(f"train accuracy {np.mean(labels == ready.labels):.4f}, AUC {auc:.4f}")
 print(f"projected centers {model.c_neg_hat:.4f} and {model.c_pos_hat:.4f}, "
       f"threshold {model.l_hat:.4f}")

@@ -8,8 +8,7 @@ training-point coordinates; with an RBF kernel it separates both.
 import numpy as np
 
 from lcckit import (KernelSpec, apply_normalizer, fit_normalizer, gen_shape,
-                    kpredict, median_pairwise_distance, stratified_split,
-                    train_klcc)
+                    median_pairwise_distance, stratified_split, train_klcc)
 
 print(f"{'shape':10s} {'kernel':14s} {'train':>7s} {'test':>7s}")
 for shape in ("circles", "spiral", "jain_like"):
@@ -24,8 +23,8 @@ for shape in ("circles", "spiral", "jain_like"):
     width = median_pairwise_distance(train.features) / 8.0
     for spec in (KernelSpec("linear"), KernelSpec("rbf", width)):
         model = train_klcc(train, spec)
-        acc_tr = np.mean(kpredict(model, train.features) == train.labels)
-        acc_te = np.mean(kpredict(model, test.features) == test.labels)
+        acc_tr = np.mean(model.predict(train.features) == train.labels)
+        acc_te = np.mean(model.predict(test.features) == test.labels)
         label = spec.kind if spec.rbf_width is None \
             else f"rbf w={spec.rbf_width:.3f}"
         print(f"{shape:10s} {label:14s} {acc_tr:7.4f} {acc_te:7.4f}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, require_both_classes
+from .data import Dataset, _frozen, require_both_classes
 from .discriminators import _sweep_min
 from .lcc import TrainingError
 
@@ -19,38 +19,57 @@ DEFAULT_SVM_EPOCHS = 80
 POLISH_ROUNDS = 5
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(np.asarray(a, dtype=np.float64))
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class LdaModel:
-    """Linear discriminant: label +1 when x . w > k."""
+    """Linear discriminant: label +1 when x . w > k, so a tie is -1."""
 
     weight: np.ndarray
     k: float
     lambda_reg: float
 
+    FIELDS = (("weight", "floats"), ("k", "float"), ("lambda_reg", "float"))
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", _frozen(self.weight))
+        object.__setattr__(self, "weight", _frozen(self.weight, np.float64))
         if not np.all(np.isfinite(self.weight)) or not np.isfinite(self.k):
             raise TrainingError("discriminant parameters are not finite")
+
+    @property
+    def n_features(self) -> int:
+        return self.weight.size
+
+    def score(self, X) -> np.ndarray:
+        return np.asarray(X, dtype=np.float64) @ self.weight - self.k
+
+    def predict(self, X) -> np.ndarray:
+        return np.where(self.score(X) > 0, 1, -1)
 
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Linear soft-margin separator: label sign(x . weight + intercept)."""
+    """Linear soft-margin separator: label sign(x . weight + intercept),
+    with a tie labeled +1."""
 
     weight: np.ndarray
     intercept: float
     lam: float
 
+    FIELDS = (("weight", "floats"), ("intercept", "float"), ("lam", "float"))
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", _frozen(self.weight))
+        object.__setattr__(self, "weight", _frozen(self.weight, np.float64))
         if not np.all(np.isfinite(self.weight)) or not np.isfinite(self.intercept):
             raise TrainingError("separator parameters are not finite")
+
+    @property
+    def n_features(self) -> int:
+        return self.weight.size
+
+    def score(self, X) -> np.ndarray:
+        return np.asarray(X, dtype=np.float64) @ self.weight + self.intercept
+
+    def predict(self, X) -> np.ndarray:
+        return np.where(self.score(X) < 0, -1, 1)
 
 
 def _class_stats(train: Dataset):
@@ -100,20 +119,6 @@ def train_lda(train: Dataset,
             "lambda_reg < 1 so the identity term keeps the system solvable")
     k = 0.5 * float(mu2 @ inv2 @ mu2) - 0.5 * float(mu1 @ inv1 @ mu1)
     return LdaModel(weight, k, float(lambda_reg))
-
-
-def lda_score(model: LdaModel, instance: np.ndarray) -> float | np.ndarray:
-    instance = np.asarray(instance, dtype=np.float64)
-    scalar = instance.ndim == 1
-    values = np.atleast_2d(instance) @ model.weight - model.k
-    return float(values[0]) if scalar else values
-
-
-def lda_predict(model: LdaModel, instance: np.ndarray) -> int | np.ndarray:
-    s = lda_score(model, instance)
-    if np.ndim(s):
-        return np.where(np.asarray(s) > 0, 1, -1).astype(np.int64)
-    return 1 if s > 0 else -1
 
 
 def hinge_objective(train: Dataset, lam: float, weight: np.ndarray,
@@ -196,17 +201,3 @@ def train_linear_svm(train: Dataset, lam: float = DEFAULT_SVM_LAMBDA,
         if value < best[0]:
             best = (value, w_cand, r_cand)
     return SvmModel(best[1], best[2], float(lam))
-
-
-def svm_score(model: SvmModel, instance: np.ndarray) -> float | np.ndarray:
-    instance = np.asarray(instance, dtype=np.float64)
-    scalar = instance.ndim == 1
-    values = np.atleast_2d(instance) @ model.weight + model.intercept
-    return float(values[0]) if scalar else values
-
-
-def svm_predict(model: SvmModel, instance: np.ndarray) -> int | np.ndarray:
-    s = svm_score(model, instance)
-    if np.ndim(s):
-        return np.where(np.asarray(s) < 0, -1, 1).astype(np.int64)
-    return -1 if s < 0 else 1

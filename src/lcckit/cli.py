@@ -14,18 +14,20 @@ import sys
 
 import numpy as np
 
-from .baselines import hinge_objective, train_lda, train_linear_svm
 from .data import (DataError, Dataset, SHAPE_NAMES, apply_normalizer,
                    demo_gaussian_pair, drop_zero_variance, fit_normalizer,
                    gen_shape, load_csv)
-from .discriminators import DiscriminatorError, fit_discriminator
-from .evaluation import (BenchmarkConfig, EvalError, METHOD_NAMES, roc_auc,
-                         report_to_csv, run_benchmark, summary_table)
-from .kernel import KernelSpec, ktransform, median_pairwise_distance, \
-    train_klcc
-from .lcc import (DEFAULT_LAMBDA, DEFAULT_SIGMA, TrainingError, class_centers,
-                  fqcc_epsilons, score, train_fqcc, train_lcc, transform)
+from .discriminators import DiscriminatorError
+from .evaluation import (BenchmarkConfig, EvalError, METHOD_NAMES, METHODS,
+                         check_methods, fit, roc_auc, report_to_csv,
+                         run_benchmark, summary_table)
+from .lcc import TrainingError, class_centers, train_lcc
 from .lp import CyclingError, LpFormatError
+# perfbench/spans.py wraps these names here; training goes through METHODS
+from .baselines import hinge_objective, train_lda, train_linear_svm  # noqa
+from .discriminators import fit_discriminator  # noqa: F401
+from .kernel import median_pairwise_distance, train_klcc  # noqa: F401
+from .lcc import train_fqcc  # noqa: F401
 from .model_io import (ModelIoError, SavedClassifier, load_classifier,
                        predict_saved, save_classifier)
 
@@ -135,81 +137,31 @@ def _parse_width(raw: str) -> float | None:
 
 # ------------------------------------------------------------------ train
 
-def _fit(args, ready: Dataset):
-    """Train the requested method; list the summary lines its model earns."""
-    lam = args.lam
-    sigma = DEFAULT_SIGMA if args.sigma is None else args.sigma
-    lines = []
-    if args.method == "lcc":
-        model = train_lcc(ready, lam=DEFAULT_LAMBDA if lam is None else lam,
-                          sigma=sigma)
-        objective = (model.c_neg_hat - model.c_pos_hat
-                     + model.lam * model.epsilons.sum())
-        eps = model.epsilons
-    elif args.method == "fqcc":
-        model = train_fqcc(ready, lam=DEFAULT_LAMBDA if lam is None else lam,
-                           sigma=sigma, seed=args.seed)
-        objective = model.objective
-        eps = fqcc_epsilons(ready.features, ready.labels, model.beta,
-                            model.c_neg_hat, model.c_pos_hat, model.sigma)
-    elif args.method == "klcc":
-        kernel = args.kernel or "rbf"
-        width = _parse_width(args.rbf_width)
-        if kernel == "rbf" and width is None:
-            width = median_pairwise_distance(ready.features)
-        spec = KernelSpec(kernel, width if kernel == "rbf" else None)
-        model = train_klcc(ready, spec,
-                           lam=DEFAULT_LAMBDA if lam is None else lam,
-                           sigma=sigma)
-        objective = (model.c_neg_hat - model.c_pos_hat
-                     + model.lam * model.epsilons.sum())
-        eps = model.epsilons
-        lines.append(f"kernel {spec.kind}"
-                     + (f", width {spec.rbf_width:.6g}"
-                        if spec.rbf_width is not None else ""))
-    elif args.method == "lda":
-        model = train_lda(ready, lambda_reg=0.5 if lam is None else lam)
-        lines.append(f"shrinkage lambda_reg {model.lambda_reg:.6g}")
-        return model, None, lines
-    elif args.method == "svm":
-        model = train_linear_svm(ready, lam=1.0 if lam is None else lam,
-                                 seed=args.seed)
-        objective = hinge_objective(ready, model.lam, model.weight,
-                                    model.intercept)
-        lines.append(f"objective {objective:.10g}")
-        return model, None, lines
-    else:
-        raise UsageError(f"unknown method {args.method!r}; choose from "
-                         + ", ".join(METHOD_NAMES))
-
-    rule = None
-    if args.discriminator is not None:
-        project = transform if args.method == "lcc" else ktransform
-        rule = fit_discriminator(DISCRIMINATOR_FLAGS[args.discriminator],
-                                 project(model, ready.features),
-                                 ready.labels, model)
-        lines.append(f"discriminator {rule.kind} fitted on "
-                     f"{ready.m} projected values")
-    lines.insert(0, f"objective {objective:.10g}")
-    lines.append(f"epsilons min/mean/max {eps.min():.6g} / {eps.mean():.6g}"
-                 f" / {eps.max():.6g}")
-    lines.append(f"center gap {model.c_pos_hat - model.c_neg_hat:.6g} "
-                 f"(c_neg_hat {model.c_neg_hat:.6g}, "
-                 f"c_pos_hat {model.c_pos_hat:.6g})")
-    return model, rule, lines
+def _params(args, names) -> dict:
+    """Method parameters from the flags; --lambda sets each named
+    method's own lambda."""
+    params = {"sigma": args.sigma, "kernel": args.kernel,
+              "rbf_width": _parse_width(args.rbf_width),
+              "discriminator": DISCRIMINATOR_FLAGS.get(args.discriminator)}
+    if args.lam is not None:
+        params.update((METHODS[n].lam_key, args.lam) for n in names
+                      if n in METHODS)
+    params = {k: v for k, v in params.items() if v is not None}
+    check_methods(names, params)
+    return params
 
 
 def cmd_train(args) -> int:
-    if args.discriminator is not None and args.method not in ("lcc", "klcc"):
-        raise UsageError("--discriminator pairs with lcc or klcc only")
+    params = _params(args, [args.method])
     data = _load_dataset(args)
     if data.m == 0:
         raise UsageError("training data is empty")
     pruned, kept = drop_zero_variance(data)
     norm = fit_normalizer(pruned)
     ready = apply_normalizer(norm, pruned)
-    model, rule, lines = _fit(args, ready)
-    saved = SavedClassifier(args.method, model, rule, norm, kept, data.n)
+    method = METHODS[args.method]
+    model = fit(method, ready, params, args.seed)
+    saved = SavedClassifier(model, norm, kept, data.n)
     path = _out_path(args.out, "model.txt")
     save_classifier(path, saved)
     labels, _ = predict_saved(saved, data.features)
@@ -217,7 +169,7 @@ def cmd_train(args) -> int:
     print(f"method {args.method}")
     print(f"trained on {data.m} instances, {ready.n} of {data.n} "
           "feature(s) kept")
-    for line in lines:
+    for line in method.summary(model, ready):
         print(line)
     print(f"train accuracy {accuracy:.4f}")
     print(f"model written to {path}")
@@ -291,42 +243,18 @@ def cmd_predict(args) -> int:
 
 # -------------------------------------------------------------- benchmark
 
-def _benchmark_params(args, names) -> dict:
-    params: dict = {}
-    if args.sigma is not None:
-        params["sigma"] = args.sigma
-    if args.lam is not None:
-        if set(names) & {"lcc", "fqcc", "klcc"}:
-            params["lam"] = args.lam
-        if "lda" in names:
-            params["lambda_reg"] = args.lam
-        if "svm" in names:
-            params["svm_lambda"] = args.lam
-    if args.kernel is not None:
-        params["kernel"] = args.kernel
-    if args.rbf_width != "median":
-        params["rbf_width"] = _parse_width(args.rbf_width)
-    if args.discriminator is not None:
-        params["discriminator"] = DISCRIMINATOR_FLAGS[args.discriminator]
-    return params
-
-
 def cmd_benchmark(args) -> int:
     names = [n.strip() for n in args.method.split(",") if n.strip()]
     if not names:
         raise UsageError("--method needs at least one name")
     if len(set(names)) != len(names):
         raise UsageError("--method names must be distinct")
-    for name in names:
-        if name not in METHOD_NAMES:
-            raise UsageError(f"unknown method {name!r}; choose from "
-                             + ", ".join(METHOD_NAMES))
+    params = _params(args, names)
     data = _load_dataset(args)
     config = BenchmarkConfig(
         data=data, methods=tuple(names), runs=args.runs, seed=args.seed,
         reference="lcc" if "lcc" in names else names[0],
-        procedure=args.procedure, folds=args.folds,
-        params=_benchmark_params(args, names))
+        procedure=args.procedure, folds=args.folds, params=params)
     report = run_benchmark(config)
     path = _out_path(args.out, "report.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -358,7 +286,7 @@ def cmd_demo(args) -> int:
     beta0 = gap / np.abs(gap).max()
     before = ready.features @ beta0
     model = train_lcc(ready)
-    after = transform(model, ready.features)
+    after = model.transform(ready.features)
 
     header = [
         "# two-Gaussian example: projected training values, 200 per class,"
@@ -375,7 +303,7 @@ def cmd_demo(args) -> int:
     with open(hist_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(header + rows) + "\n")
 
-    roc = roc_auc(score(model, ready.features), ready.labels)
+    roc = roc_auc(model.score(ready.features), ready.labels)
     roc_path = _out_path(args.out, "demo_roc.csv")
     with open(roc_path, "w", encoding="utf-8") as fh:
         fh.write("fpr,tpr\n")

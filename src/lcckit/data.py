@@ -33,8 +33,9 @@ class DataError(ValueError):
     """Malformed input data or an impossible data request."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
+def _frozen(a, dtype=None) -> np.ndarray:
+    """A read-only copy of a, converted to dtype when one is given."""
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -171,10 +172,10 @@ class Normalizer:
     stds: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "means",
-                           _frozen(np.asarray(self.means, dtype=np.float64)))
-        object.__setattr__(self, "stds",
-                           _frozen(np.asarray(self.stds, dtype=np.float64)))
+        object.__setattr__(self, "means", _frozen(self.means, np.float64))
+        object.__setattr__(self, "stds", _frozen(self.stds, np.float64))
+        if not np.all(self.stds > 0):
+            raise DataError("normalizer standard deviations must be positive")
 
 
 def fit_normalizer(train: Dataset) -> Normalizer:

@@ -21,20 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _frozen
 from .lcc import LccModel
 
 DEFAULT_H = 10.0
-KINDS = ("dist", "one_nn", "one_sv")
+# the fields each kind sets, in model file order, with their encodings
+FIELDS = {"dist": (("threshold", "float"),),
+          "one_nn": (("values", "floats"), ("labels", "ints")),
+          "one_sv": (("scale", "float"), ("weight", "float"),
+                     ("intercept", "float"), ("h", "float"))}
+KINDS = tuple(FIELDS)
 
 
 class DiscriminatorError(ValueError):
     """Bad discriminator parameters or unusable projected data."""
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.array(np.asarray(a, dtype=np.float64))
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,16 @@ class Discriminator:
         if self.kind not in KINDS:
             raise DiscriminatorError(f"unknown discriminator kind {self.kind!r}")
         if self.values is not None:
-            object.__setattr__(self, "values", _frozen(self.values))
+            object.__setattr__(self, "values",
+                               _frozen(self.values, np.float64))
         if self.labels is not None:
-            arr = np.array(np.asarray(self.labels, dtype=np.int64))
-            arr.setflags(write=False)
-            object.__setattr__(self, "labels", arr)
+            object.__setattr__(self, "labels", _frozen(self.labels, np.int64))
+        if self.kind == "one_nn" and (
+                self.values is None or self.labels is None
+                or self.values.shape != self.labels.shape
+                or set(self.labels.tolist()) != {-1, 1}):
+            raise DiscriminatorError("one_nn needs one label per value, "
+                                     "and both labels -1 and +1")
 
 
 def _sweep_min(quad: float, a: np.ndarray, b: np.ndarray,
@@ -237,20 +242,16 @@ def _check_query(value) -> np.ndarray:
 
 def discriminate(d: Discriminator, value) -> int | np.ndarray:
     """Assign -1 or +1 to a projected value (or an array of them)."""
+    if d.kind != "one_nn":
+        # dist and one_sv label by the sign of their score; a tie is +1
+        out = np.where(discriminator_score(d, value) < 0, -1, 1)
+        return int(out) if out.ndim == 0 else out
     arr = _check_query(value)
-    scalar = arr.ndim == 0
     flat = np.atleast_1d(arr)
-    if d.kind == "dist":
-        out = np.where(flat < d.threshold, -1, 1)
-    elif d.kind == "one_nn":
-        # argmin returns the first minimum, i.e. the lower stored index
-        nearest = np.argmin(np.abs(flat[:, None] - d.values[None, :]), axis=1)
-        out = d.labels[nearest]
-    else:
-        decision = d.weight * (d.scale * flat) + d.intercept
-        out = np.where(decision < 0, -1, 1)
-    out = out.astype(np.int64)
-    return int(out[0]) if scalar else out
+    # argmin returns the first minimum, i.e. the lower stored index
+    out = d.labels[np.argmin(np.abs(flat[:, None] - d.values[None, :]),
+                             axis=1)]
+    return int(out[0]) if arr.ndim == 0 else out
 
 
 def discriminator_score(d: Discriminator, value) -> float | np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -16,45 +16,47 @@ import numpy as np
 from .baselines import (
     DEFAULT_LDA_REG,
     DEFAULT_SVM_LAMBDA,
-    lda_score,
-    svm_score,
+    LdaModel,
+    SvmModel,
+    hinge_objective,
     train_lda,
     train_linear_svm,
 )
 from .data import (
     DataError,
     Dataset,
+    _frozen,
     apply_normalizer,
     drop_zero_variance,
     fit_normalizer,
-    normalize_features,
     require_both_classes,
 )
 from .discriminators import (
     DEFAULT_H,
     KINDS,
+    Discriminator,
+    discriminate,
     discriminator_score,
     fit_discriminator,
 )
 from .kernel import (
+    KernelLccModel,
     KernelSpec,
-    kscore,
-    ktransform,
     median_pairwise_distance,
     train_klcc,
 )
 from .lcc import (
     DEFAULT_LAMBDA,
     DEFAULT_SIGMA,
-    fqcc_score,
-    score,
+    Centralizer,
+    FqccModel,
+    LccModel,
+    fqcc_epsilons,
     train_fqcc,
     train_lcc,
-    transform,
 )
 
 EXACT_RANK_SUM_LIMIT = 12
-METHOD_NAMES = ("lcc", "fqcc", "klcc", "lda", "svm")
 
 # fifteen values each, matching the published search ranges
 GRID_SIGMA = tuple(-(2.0 ** e) for e in range(-7, 8))
@@ -130,21 +132,21 @@ class RocResult:
     def __post_init__(self) -> None:
         if not 0.0 <= self.auc <= 1.0:
             raise EvalError(f"auc {self.auc} outside [0, 1]")
-        frozen = np.array(np.asarray(self.curve, dtype=np.float64))
-        frozen.setflags(write=False)
-        object.__setattr__(self, "curve", frozen)
+        object.__setattr__(self, "curve", _frozen(self.curve, np.float64))
+
+
+def _tie_groups(sorted_values: np.ndarray) -> np.ndarray:
+    """End index (exclusive) of each run of equal values."""
+    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1],
+                                    True)) + 1
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="stable")
+    ends = _tie_groups(values[order])
+    starts = np.concatenate([[0], ends[:-1]])
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j < values.size and values[order[j]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0
-        i = j
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks
 
 
@@ -165,20 +167,10 @@ def roc_auc(scores, labels) -> RocResult:
 
     # sweep thresholds downward through the distinct scores
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < scores.size:
-        j = i
-        while j < scores.size and scores[order[j]] == scores[order[i]]:
-            if labels[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    return RocResult(float(auc), np.array(points))
+    ends = _tie_groups(scores[order])
+    tp = np.cumsum(labels[order] == 1)[ends - 1]
+    points = np.column_stack([(ends - tp) / n_neg, tp / n_pos])
+    return RocResult(float(auc), np.vstack([[0.0, 0.0], points]))
 
 
 # ---------------------------------------------------------- rank-sum test
@@ -228,120 +220,158 @@ def rank_sum_test(a, b) -> float:
 
 
 # ----------------------------------------------------------- the methods
+#
+# Every per-kind choice lives in METHODS.  Its entries call the trainers
+# through this module's names at call time, so a wrapper put on one of
+# those names here (as perfbench/spans.py does) sees every fit.
+
+# perfbench/spans.py wraps this name here; klcc scores through its model
+kscore = KernelLccModel.score
+
+
+@dataclass(frozen=True)
+class Discriminated:
+    """An lcc or klcc model whose midpoint rule is replaced by a rule
+    fitted on its projected training values; projects once per call."""
+
+    base: Centralizer
+    rule: Discriminator
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.base, Centralizer):
+            raise EvalError("discriminators pair with lcc or klcc only")
+
+    @property
+    def n_features(self) -> int:
+        return self.base.n_features
+
+    def score(self, X) -> np.ndarray:
+        return discriminator_score(self.rule, self.base.transform(X))
+
+    def predict(self, X) -> np.ndarray:
+        return discriminate(self.rule, self.base.transform(X))
+
 
 @dataclass(frozen=True)
 class Method:
-    """A named trainer plus a scorer oriented positive toward class +1."""
+    """One model kind, as the benchmark and the CLI use it."""
 
-    name: str
-    train: object   # Dataset, seed -> model
-    score: object   # model, features (already normalized) -> scores
-    param_name: str
+    name: str          # also the kind a model file records
+    model: type
+    trainer: object    # (train, params with defaults filled in, seed)
+    param_name: str    # procedure 2 searches params[param_key] over grid
+    param_key: str     # and reports it under param_name
     grid: tuple
+    lam_key: str       # the params key that --lambda sets
+    summary: object    # (model, train) -> the lines `lcckit train` prints
 
 
-def make_method(name: str, lam: float = DEFAULT_LAMBDA,
-                sigma: float = DEFAULT_SIGMA, kernel: str = "rbf",
-                rbf_width: float | None = None,
-                discriminator: str | None = None,
-                h: float = DEFAULT_H,
-                lambda_reg: float = DEFAULT_LDA_REG,
-                svm_lambda: float = DEFAULT_SVM_LAMBDA) -> Method:
-    """Bind hyperparameters into a uniform train/score pair.
-
-    discriminator (one of dist, one_nn, one_sv) replaces the plain
-    midpoint score of the linear or kernel classifier with a rule
-    fitted on the projected training values.
-    """
-    if discriminator is not None:
-        if discriminator not in KINDS:
-            raise EvalError(f"unknown discriminator {discriminator!r}")
-        if name not in ("lcc", "klcc"):
-            raise EvalError("discriminators pair with lcc or klcc only")
-
-    if name == "lcc":
-        if discriminator is None:
-            def train(ds, seed, sigma=sigma, lam=lam):
-                return train_lcc(ds, lam=lam, sigma=sigma)
-
-            def scorer(model, feats):
-                return score(model, feats)
-        else:
-            def train(ds, seed, sigma=sigma, lam=lam):
-                model = train_lcc(ds, lam=lam, sigma=sigma)
-                rule = fit_discriminator(discriminator,
-                                         transform(model, ds.features),
-                                         ds.labels, model, h=h)
-                return (model, rule)
-
-            def scorer(pair, feats):
-                model, rule = pair
-                return discriminator_score(rule, transform(model, feats))
-        return Method(name, train, scorer, "sigma", GRID_SIGMA)
-
-    if name == "fqcc":
-        def train(ds, seed, sigma=sigma, lam=lam):
-            return train_fqcc(ds, lam=lam, sigma=sigma, seed=seed)
-
-        def scorer(model, feats):
-            return fqcc_score(model, feats)
-        return Method(name, train, scorer, "sigma", GRID_SIGMA)
-
-    if name == "klcc":
-        def spec_for(feats):
-            if kernel == "rbf" and rbf_width is None:
-                return KernelSpec("rbf", median_pairwise_distance(feats))
-            if kernel == "rbf":
-                return KernelSpec("rbf", rbf_width)
-            return KernelSpec(kernel)
-
-        if discriminator is None:
-            def train(ds, seed, sigma=sigma, lam=lam):
-                return train_klcc(ds, spec_for(ds.features),
-                                  lam=lam, sigma=sigma)
-
-            def scorer(model, feats):
-                return kscore(model, feats)
-        else:
-            def train(ds, seed, sigma=sigma, lam=lam):
-                model = train_klcc(ds, spec_for(ds.features),
-                                   lam=lam, sigma=sigma)
-                rule = fit_discriminator(discriminator,
-                                         ktransform(model, ds.features),
-                                         ds.labels, model, h=h)
-                return (model, rule)
-
-            def scorer(pair, feats):
-                model, rule = pair
-                return discriminator_score(rule, ktransform(model, feats))
-        return Method(name, train, scorer, "sigma", GRID_SIGMA)
-
-    if name == "lda":
-        def train(ds, seed, lambda_reg=lambda_reg):
-            return train_lda(ds, lambda_reg=lambda_reg)
-
-        def scorer(model, feats):
-            return lda_score(model, feats)
-        return Method(name, train, scorer, "lambda_reg", GRID_LDA_REG)
-
-    if name == "svm":
-        def train(ds, seed, svm_lambda=svm_lambda):
-            return train_linear_svm(ds, lam=svm_lambda, seed=seed)
-
-        def scorer(model, feats):
-            return svm_score(model, feats)
-        return Method(name, train, scorer, "lambda", GRID_SVM_LAMBDA)
-
-    raise EvalError(f"unknown method {name!r}; "
-                    f"choose from {', '.join(METHOD_NAMES)}")
+# every params key, with the value an absent key takes
+PARAM_DEFAULTS = {"lam": DEFAULT_LAMBDA, "sigma": DEFAULT_SIGMA,
+                  "kernel": "rbf", "rbf_width": None, "discriminator": None,
+                  "h": DEFAULT_H, "lambda_reg": DEFAULT_LDA_REG,
+                  "svm_lambda": DEFAULT_SVM_LAMBDA}
 
 
-def _rebind(method: Method, value: float, base: dict) -> Method:
-    """A copy of the method with its searched parameter set to value."""
-    params = dict(base)
-    params[{"sigma": "sigma", "lambda_reg": "lambda_reg",
-            "lambda": "svm_lambda"}[method.param_name]] = value
-    return make_method(method.name, **params)
+def _fit_klcc(train: Dataset, p: dict, seed: int) -> KernelLccModel:
+    kernel, width = p["kernel"], p["rbf_width"]
+    if kernel == "rbf" and width is None:
+        width = median_pairwise_distance(train.features)
+    spec = KernelSpec(kernel, width if kernel == "rbf" else None)
+    return train_klcc(train, spec, p["lam"], p["sigma"])
+
+
+def _centralizer_summary(slacks, extra=lambda model: []):
+    """Objective, extra lines, the discriminator if any, slack range and
+    center gap of an lcc, fqcc or klcc fit."""
+    def summary(model, train: Dataset) -> list:
+        base = model.base if isinstance(model, Discriminated) else model
+        rule = [] if base is model else [
+            f"discriminator {model.rule.kind} fitted on {train.m} "
+            "projected values"]
+        eps = slacks(base, train)
+        return [f"objective {base.objective:.10g}", *extra(base), *rule,
+                f"epsilons min/mean/max {eps.min():.6g} / {eps.mean():.6g}"
+                f" / {eps.max():.6g}",
+                f"center gap {base.c_pos_hat - base.c_neg_hat:.6g} "
+                f"(c_neg_hat {base.c_neg_hat:.6g}, "
+                f"c_pos_hat {base.c_pos_hat:.6g})"]
+    return summary
+
+
+def _fqcc_slacks(model: FqccModel, train: Dataset) -> np.ndarray:
+    return fqcc_epsilons(train.features, train.labels, model.beta,
+                         model.c_neg_hat, model.c_pos_hat, model.sigma)
+
+
+def _kernel_line(model: KernelLccModel) -> list:
+    width = "" if model.rbf_width is None else \
+        f", width {model.rbf_width:.6g}"
+    return [f"kernel {model.kernel}{width}"]
+
+
+def _svm_line(model: SvmModel, train: Dataset) -> list:
+    value = hinge_objective(train, model.lam, model.weight, model.intercept)
+    return [f"objective {value:.10g}"]
+
+
+METHODS = {m.name: m for m in (
+    Method("lcc", LccModel,
+           lambda train, p, seed: train_lcc(train, p["lam"], p["sigma"]),
+           "sigma", "sigma", GRID_SIGMA, "lam",
+           _centralizer_summary(lambda model, train: model.epsilons)),
+    Method("fqcc", FqccModel,
+           lambda train, p, seed: train_fqcc(train, p["lam"], p["sigma"],
+                                             seed=seed),
+           "sigma", "sigma", GRID_SIGMA, "lam",
+           _centralizer_summary(_fqcc_slacks)),
+    Method("klcc", KernelLccModel, _fit_klcc,
+           "sigma", "sigma", GRID_SIGMA, "lam",
+           _centralizer_summary(lambda model, train: model.epsilons,
+                                _kernel_line)),
+    Method("lda", LdaModel,
+           lambda train, p, seed: train_lda(train, p["lambda_reg"]),
+           "lambda_reg", "lambda_reg", GRID_LDA_REG, "lambda_reg",
+           lambda model, train: [
+               f"shrinkage lambda_reg {model.lambda_reg:.6g}"]),
+    Method("svm", SvmModel,
+           lambda train, p, seed: train_linear_svm(train, p["svm_lambda"],
+                                                   seed=seed),
+           "lambda", "svm_lambda", GRID_SVM_LAMBDA, "svm_lambda", _svm_line),
+)}
+METHOD_NAMES = tuple(METHODS)
+
+
+def check_methods(names, params: dict) -> None:
+    """EvalError unless every name is a method, every params key is one
+    of PARAM_DEFAULTS, and a discriminator, if set, is known and pairs
+    with every named method."""
+    unknown = [n for n in names if n not in METHODS]
+    if unknown:
+        raise EvalError(f"unknown method {unknown[0]!r}; "
+                        f"choose from {', '.join(METHOD_NAMES)}")
+    unknown = sorted(set(params) - set(PARAM_DEFAULTS))
+    if unknown:
+        raise EvalError(f"unknown parameter(s) {', '.join(unknown)}")
+    kind = params.get("discriminator")
+    if kind is not None and kind not in KINDS:
+        raise EvalError(f"unknown discriminator {kind!r}")
+    if kind is not None and not all(
+            issubclass(METHODS[n].model, Centralizer) for n in names):
+        raise EvalError("discriminators pair with lcc or klcc only")
+
+
+def fit(method: Method, train: Dataset, params: dict, seed: int):
+    """Train one method; with a discriminator in params, the model comes
+    back wrapped with a rule fitted on its projected training values."""
+    p = {**PARAM_DEFAULTS, **params}
+    model = method.trainer(train, p, seed)
+    if p["discriminator"] is None:
+        return model
+    rule = fit_discriminator(p["discriminator"],
+                             model.transform(train.features), train.labels,
+                             model, h=p["h"])
+    return Discriminated(model, rule)
 
 
 # ------------------------------------------------------------ procedures
@@ -390,25 +420,37 @@ class BenchmarkConfig:
     params: dict = field(default_factory=dict)
 
 
-def _prepare_split(data: Dataset, train_fraction: float, seed: int):
-    """Split, then z-score both sides with training statistics only."""
-    train, test = stratified_split(data, train_fraction, seed)
+def _normalized(train: Dataset, test: Dataset):
+    """Both sides z-scored with training statistics only."""
     norm = fit_normalizer(train)
     return apply_normalizer(norm, train), apply_normalizer(norm, test), norm
 
 
-def _run_once(method: Method, train: Dataset, test: Dataset,
+def _prepare_split(data: Dataset, train_fraction: float, seed: int):
+    """Split, then z-score both sides with training statistics only."""
+    return _normalized(*stratified_split(data, train_fraction, seed))
+
+
+def _successes(records, name: str, attr: str) -> np.ndarray:
+    """attr of every run of the named method that did not fail."""
+    return np.array([getattr(r, attr) for r in records
+                     if r.method == name and r.error is None])
+
+
+# a fit or score that raises one of these is recorded as a failure
+_FIT_ERRORS = (DataError, EvalError, ValueError, RuntimeError,
+               np.linalg.LinAlgError)
+
+
+def _run_once(method: Method, params: dict, train: Dataset, test: Dataset,
               run: int, seed: int) -> RunRecord:
     try:
         start = time.perf_counter()
-        model = method.train(train, seed)
+        model = fit(method, train, params, seed)
         ms = (time.perf_counter() - start) * 1000.0
-        auc_tr = roc_auc(method.score(model, train.features),
-                         train.labels).auc
-        auc_te = roc_auc(method.score(model, test.features),
-                         test.labels).auc
-    except (DataError, EvalError, ValueError, RuntimeError,
-            np.linalg.LinAlgError) as exc:
+        auc_tr = roc_auc(model.score(train.features), train.labels).auc
+        auc_te = roc_auc(model.score(test.features), test.labels).auc
+    except _FIT_ERRORS as exc:
         return RunRecord(method.name, run, math.nan, math.nan, math.nan,
                          f"{type(exc).__name__}: {exc}")
     return RunRecord(method.name, run, auc_tr, auc_te, ms)
@@ -421,72 +463,47 @@ def _procedure_one(config: BenchmarkConfig, methods: list[Method]) -> EvalReport
         train, test, _ = _prepare_split(config.data, config.train_fraction,
                                         run_seed)
         for method in methods:
-            records.append(_run_once(method, train, test, run, run_seed))
+            records.append(_run_once(method, config.params, train, test,
+                                     run, run_seed))
 
-    def valid(name, attr):
-        return np.array([getattr(r, attr) for r in records
-                         if r.method == name and r.error is None])
-
-    p_train: dict = {}
-    p_test: dict = {}
-    p_time: dict = {}
+    attrs = ("train_auc", "test_auc", "train_ms")
+    p_values: tuple = ({}, {}, {})   # train, test, time
     names = [m.name for m in methods]
     if config.reference in names:
-        ref_tr = valid(config.reference, "train_auc")
-        ref_te = valid(config.reference, "test_auc")
-        ref_ms = valid(config.reference, "train_ms")
+        ref = [_successes(records, config.reference, a) for a in attrs]
         for name in names:
             if name == config.reference:
                 continue
-            tr, te, ms = (valid(name, "train_auc"), valid(name, "test_auc"),
-                          valid(name, "train_ms"))
-            if ref_tr.size and tr.size:
-                p_train[name] = rank_sum_test(ref_tr, tr)
-                p_test[name] = rank_sum_test(ref_te, te)
-                p_time[name] = rank_sum_test(ref_ms, ms)
-    return EvalReport(1, config.reference, tuple(records),
-                      p_train, p_test, p_time)
+            other = [_successes(records, name, a) for a in attrs]
+            if ref[0].size and other[0].size:
+                for table, a, b in zip(p_values, ref, other):
+                    table[name] = rank_sum_test(a, b)
+    return EvalReport(1, config.reference, tuple(records), *p_values)
 
 
 def _ranks_from_scores(scores: dict) -> dict:
     """0-indexed descending ranks; tied values share the mean position."""
-    names = sorted(scores, key=lambda n: -scores[n])
-    ranks: dict = {}
-    i = 0
-    while i < len(names):
-        j = i
-        while j < len(names) and scores[names[j]] == scores[names[i]]:
-            j += 1
-        mean_rank = (i + j - 1) / 2.0
-        for name in names[i:j]:
-            ranks[name] = mean_rank
-        i = j
-    return ranks
+    ranks = _midranks(-np.array(list(scores.values()), dtype=np.float64))
+    return {name: float(rank - 1.0) for name, rank in zip(scores, ranks)}
 
 
 def _procedure_two(config: BenchmarkConfig, methods: list[Method]) -> EvalReport:
     folds = stratified_kfold(config.data, config.folds, config.seed)
-    all_idx = np.arange(config.data.m)
     grid_records = []
     for method in methods:
         best = None
         for value in method.grid:
-            candidate = _rebind(method, value, config.params)
+            params = {**config.params, method.param_key: value}
             fold_aucs = []
             for held in folds:
-                mask = np.ones(config.data.m, dtype=bool)
-                mask[held] = False
-                train = config.data.take(all_idx[mask])
-                test = config.data.take(held)
-                norm = fit_normalizer(train)
-                train = apply_normalizer(norm, train)
-                test = apply_normalizer(norm, test)
+                rest = np.delete(np.arange(config.data.m), held)
+                train, test, _ = _normalized(config.data.take(rest),
+                                             config.data.take(held))
                 try:
-                    model = candidate.train(train, config.seed)
-                    auc = roc_auc(candidate.score(model, test.features),
+                    model = fit(method, train, params, config.seed)
+                    auc = roc_auc(model.score(test.features),
                                   test.labels).auc
-                except (DataError, EvalError, ValueError, RuntimeError,
-                        np.linalg.LinAlgError):
+                except _FIT_ERRORS:
                     auc = math.nan
                 fold_aucs.append(auc)
             clean = [a for a in fold_aucs if not math.isnan(a)]
@@ -515,12 +532,10 @@ def run_benchmark(config: BenchmarkConfig) -> EvalReport:
         raise EvalError("runs must be at least 1")
     if config.procedure not in (1, 2):
         raise EvalError(f"unknown procedure {config.procedure}")
+    check_methods(config.methods, config.params)
     data, _ = drop_zero_variance(config.data)
-    cfg = BenchmarkConfig(data, config.methods, config.runs,
-                          config.train_fraction, config.seed,
-                          config.reference, config.procedure, config.folds,
-                          config.params)
-    methods = [make_method(name, **config.params) for name in config.methods]
+    cfg = replace(config, data=data)
+    methods = [METHODS[name] for name in config.methods]
     if config.procedure == 1:
         return _procedure_one(cfg, methods)
     return _procedure_two(cfg, methods)
@@ -586,8 +601,7 @@ def summary_table(report: EvalReport) -> str:
             names.append(r.method)
 
     def stats(name, attr):
-        vals = np.array([getattr(r, attr) for r in report.records
-                         if r.method == name and r.error is None])
+        vals = _successes(report.records, name, attr)
         if vals.size == 0:
             return math.nan, math.nan
         return float(vals.mean()), float(vals.std())

@@ -4,9 +4,9 @@ The projection is expressed through per-instance coefficients,
 beta = sum_i alpha_i x_i, so every quantity the linear program needs is a
 kernel evaluation: the projected value of instance j is (K alpha)_j and a
 projected class center is the mean of the class's Gram rows dotted with
-alpha.  The resulting program has m + 1 rows and 2m variables
-(alpha in [-1, 1]^m plus one slack per instance) and is solved by the same
-simplex as the linear classifier.
+alpha.  The resulting program is the linear classifier's with Gram rows
+in place of feature rows: m + 1 rows and 2m variables (alpha in [-1, 1]^m
+plus one slack per instance).
 """
 
 from __future__ import annotations
@@ -15,17 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Normalizer, require_both_classes
-from .lcc import DEFAULT_LAMBDA, DEFAULT_SIGMA, TrainingError, _check_params
+from .data import Dataset, _frozen, require_both_classes
+from .lcc import (DEFAULT_LAMBDA, DEFAULT_SIGMA, Centralizer, TrainingError,
+                  _centralization_lp, _check_params)
 from .lp import LpProblem, solve
 
 KERNEL_KINDS = ("linear", "rbf")
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.array(np.asarray(a, dtype=np.float64))
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -51,10 +46,14 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         raise TrainingError("kernel arguments must share their width")
     if spec.kind == "linear":
         return x @ z.T
+    return np.exp(-_sq_distances(x, z) / (2.0 * spec.rbf_width ** 2))
+
+
+def _sq_distances(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every row of x to every row of z."""
     sq = (np.sum(x * x, axis=1)[:, None] + np.sum(z * z, axis=1)[None, :]
           - 2.0 * (x @ z.T))
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * spec.rbf_width ** 2))
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def gram(spec: KernelSpec, features: np.ndarray) -> np.ndarray:
@@ -67,11 +66,7 @@ def median_pairwise_distance(features: np.ndarray) -> float:
     m = features.shape[0]
     if m < 2:
         raise TrainingError("need at least two rows for a pairwise median")
-    sq = (np.sum(features ** 2, axis=1)[:, None]
-          + np.sum(features ** 2, axis=1)[None, :]
-          - 2.0 * (features @ features.T))
-    np.maximum(sq, 0.0, out=sq)
-    upper = np.sqrt(sq[np.triu_indices(m, k=1)])
+    upper = np.sqrt(_sq_distances(features, features)[np.triu_indices(m, k=1)])
     width = float(np.median(upper))
     if width <= 0:
         raise TrainingError("median pairwise distance is zero; "
@@ -80,54 +75,69 @@ def median_pairwise_distance(features: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class KernelLccModel:
-    """Centralization classifier in a kernel feature space."""
+class KernelLccModel(Centralizer):
+    """Centralization classifier in a kernel feature space.
 
+    kernel and rbf_width are the fields of its KernelSpec, kept flat so
+    that every field is one record of the model file.
+    """
+
+    kernel: str
+    rbf_width: float | None
     alphas: np.ndarray
     train_features: np.ndarray
-    spec: KernelSpec
     c_neg_hat: float
     c_pos_hat: float
     l_hat: float
     lam: float
     sigma: float
     epsilons: np.ndarray
-    normalizer: Normalizer | None = None
+
+    FIELDS = (("kernel", "word"), ("rbf_width", "float?"),
+              ("alphas", "floats"), ("train_features", "matrix"),
+              ("c_neg_hat", "float"), ("c_pos_hat", "float"),
+              ("l_hat", "float"), ("lam", "float"), ("sigma", "float"),
+              ("epsilons", "floats"))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alphas", _frozen(self.alphas))
-        object.__setattr__(self, "train_features", _frozen(self.train_features))
-        object.__setattr__(self, "epsilons", _frozen(self.epsilons))
+        KernelSpec(self.kernel, self.rbf_width)  # validates both
+        for name in ("alphas", "train_features", "epsilons"):
+            object.__setattr__(self, name,
+                               _frozen(getattr(self, name), np.float64))
+        if self.train_features.ndim != 2 or \
+                self.alphas.shape != self.train_features.shape[:1]:
+            raise TrainingError("need one alpha per stored training row")
+
+    @property
+    def spec(self) -> KernelSpec:
+        return KernelSpec(self.kernel, self.rbf_width)
+
+    @property
+    def n_features(self) -> int:
+        return self.train_features.shape[1]
+
+    def transform(self, X) -> np.ndarray:
+        """Projected value of each row."""
+        return kernel_eval(self.spec, X, self.train_features) @ self.alphas
 
 
 def assemble_klcc_lp(train: Dataset, spec: KernelSpec, lam: float,
                      sigma: float) -> LpProblem:
-    """Instance rows plus the center-gap row, written over alpha.
+    """The linear program over Gram rows instead of features.
 
     Exactly m + 1 rows and 2m variables.
     """
     _check_params(lam, sigma)
     require_both_classes(train, "assemble_klcc_lp")
-    m = train.m
     K = gram(spec, train.features)
-    k_neg = K[train.labels == -1].mean(axis=0)
-    k_pos = K[train.labels == 1].mean(axis=0)
-    midrow = (k_neg + k_pos) / 2.0
-
-    c = np.concatenate([k_neg - k_pos, np.full(m, lam)])
-    A = np.zeros((m + 1, 2 * m))
-    A[:m, :m] = train.labels[:, None] * (midrow[None, :] - K)
-    A[:m, m:] = -np.eye(m)
-    A[m, :m] = k_neg - k_pos
-    b = np.concatenate([np.zeros(m), [sigma]])
-    lower = np.concatenate([np.full(m, -1.0), np.full(m, sigma)])
-    upper = np.concatenate([np.full(m, 1.0), np.full(m, np.inf)])
-    return LpProblem(c, A, ("<=",) * (m + 1), b, lower, upper)
+    return _centralization_lp(K, train.labels,
+                              K[train.labels == -1].mean(axis=0),
+                              K[train.labels == 1].mean(axis=0), lam, sigma)
 
 
 def train_klcc(train: Dataset, spec: KernelSpec,
-               lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA,
-               normalizer: Normalizer | None = None) -> KernelLccModel:
+               lam: float = DEFAULT_LAMBDA,
+               sigma: float = DEFAULT_SIGMA) -> KernelLccModel:
     """Fit the kernel classifier by solving its linear program."""
     problem = assemble_klcc_lp(train, spec, lam, sigma)
     solution = solve(problem)
@@ -145,27 +155,6 @@ def train_klcc(train: Dataset, spec: KernelSpec,
     c_neg_hat = float(K[train.labels == -1].mean(axis=0) @ alphas)
     c_pos_hat = float(K[train.labels == 1].mean(axis=0) @ alphas)
     l_hat = (c_neg_hat + c_pos_hat) / 2.0
-    return KernelLccModel(alphas, train.features, spec, c_neg_hat, c_pos_hat,
-                          l_hat, float(lam), float(sigma), epsilons,
-                          normalizer)
-
-
-def ktransform(model: KernelLccModel, instance: np.ndarray) -> float | np.ndarray:
-    """Projected value(s) of one instance or a stack of rows."""
-    instance = np.asarray(instance, dtype=np.float64)
-    scalar = instance.ndim == 1
-    values = kernel_eval(model.spec, np.atleast_2d(instance),
-                         model.train_features) @ model.alphas
-    return float(values[0]) if scalar else values
-
-
-def kscore(model: KernelLccModel, instance: np.ndarray) -> float | np.ndarray:
-    s = ktransform(model, instance)
-    return s - model.l_hat
-
-
-def kpredict(model: KernelLccModel, instance: np.ndarray) -> int | np.ndarray:
-    s = kscore(model, instance)
-    if np.ndim(s):
-        return np.where(np.asarray(s) < 0, -1, 1).astype(np.int64)
-    return -1 if s < 0 else 1
+    return KernelLccModel(spec.kind, spec.rbf_width, alphas, train.features,
+                          c_neg_hat, c_pos_hat, l_hat, float(lam),
+                          float(sigma), epsilons)

@@ -22,12 +22,11 @@ variables are needed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Normalizer, require_both_classes
+from .data import Dataset, _frozen, require_both_classes
 from .lp import LpProblem, LpSolution, solve
 
 DEFAULT_LAMBDA = 2.0
@@ -38,13 +37,6 @@ FQCC_ITERATIONS = 300
 
 class TrainingError(RuntimeError):
     """Training could not produce a model for the given data/parameters."""
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64)
-    out = np.array(out)
-    out.setflags(write=False)
-    return out
 
 
 def class_centers(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -61,6 +53,25 @@ def _check_params(lam: float, sigma: float) -> None:
         raise TrainingError(f"sigma must be negative, got {sigma}")
 
 
+def _centralization_lp(coords: np.ndarray, labels: np.ndarray,
+                       center_neg: np.ndarray, center_pos: np.ndarray,
+                       lam: float, sigma: float) -> LpProblem:
+    """The separation LP over m rows of k coordinates each: m instance
+    rows plus one center-gap row, variables (k coefficients, m slacks)."""
+    m, k = coords.shape
+    c = np.concatenate([center_neg - center_pos, np.full(m, lam)])
+    A = np.zeros((m + 1, k + m))
+    # y_i (l - x_i) . beta - eps_i <= 0
+    A[:m, :k] = labels[:, None] * ((center_neg + center_pos) / 2.0 - coords)
+    A[:m, k:] = -np.eye(m)
+    # projected center of -1 must sit at least |sigma| below that of +1
+    A[m, :k] = center_neg - center_pos
+    b = np.concatenate([np.zeros(m), [sigma]])
+    lower = np.concatenate([np.full(k, -1.0), np.full(m, sigma)])
+    upper = np.concatenate([np.full(k, 1.0), np.full(m, np.inf)])
+    return LpProblem(c, A, ("<=",) * (m + 1), b, lower, upper)
+
+
 def assemble_lcc_lp(train: Dataset, lam: float, sigma: float) -> LpProblem:
     """Build the separation LP: m instance rows plus one center-gap row.
 
@@ -69,26 +80,30 @@ def assemble_lcc_lp(train: Dataset, lam: float, sigma: float) -> LpProblem:
     """
     _check_params(lam, sigma)
     require_both_classes(train, "assemble_lcc_lp")
-    m, n = train.m, train.n
-    center_neg, center_pos = class_centers(train)
-    midpoint = (center_neg + center_pos) / 2.0
+    return _centralization_lp(train.features, train.labels,
+                              *class_centers(train), lam, sigma)
 
-    c = np.concatenate([center_neg - center_pos, np.full(m, lam)])
-    A = np.zeros((m + 1, n + m))
-    # y_i (l - x_i) . beta - eps_i <= 0
-    A[:m, :n] = train.labels[:, None] * (midpoint - train.features)
-    A[:m, n:] = -np.eye(m)
-    # projected center of -1 must sit at least |sigma| below that of +1
-    A[m, :n] = center_neg - center_pos
-    b = np.concatenate([np.zeros(m), [sigma]])
-    relations = ("<=",) * (m + 1)
-    lower = np.concatenate([np.full(n, -1.0), np.full(m, sigma)])
-    upper = np.concatenate([np.full(n, 1.0), np.full(m, np.inf)])
-    return LpProblem(c, A, relations, b, lower, upper)
+
+class Centralizer:
+    """Rule shared by the lcc and klcc models: a row scores the distance
+    of its projection from the midpoint l_hat of the projected class
+    centers, and a score of exactly 0 labels +1."""
+
+    def score(self, X) -> np.ndarray:
+        """Signed distance of each projection from the midpoint."""
+        return self.transform(X) - self.l_hat
+
+    def predict(self, X) -> np.ndarray:
+        return np.where(self.score(X) < 0, -1, 1)
+
+    @property
+    def objective(self) -> float:
+        """Value of the trained program at its solution."""
+        return self.c_neg_hat - self.c_pos_hat + self.lam * self.epsilons.sum()
 
 
 @dataclass(frozen=True)
-class LccModel:
+class LccModel(Centralizer):
     """A trained linear centralization classifier."""
 
     beta: np.ndarray
@@ -98,47 +113,44 @@ class LccModel:
     lam: float
     sigma: float
     epsilons: np.ndarray
-    normalizer: Normalizer | None = None
+
+    FIELDS = (("beta", "floats"), ("c_neg_hat", "float"),
+              ("c_pos_hat", "float"), ("l_hat", "float"), ("lam", "float"),
+              ("sigma", "float"), ("epsilons", "floats"))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", _frozen(self.beta))
-        object.__setattr__(self, "epsilons", _frozen(self.epsilons))
+        object.__setattr__(self, "beta", _frozen(self.beta, np.float64))
+        object.__setattr__(self, "epsilons",
+                           _frozen(self.epsilons, np.float64))
+
+    @property
+    def n_features(self) -> int:
+        return self.beta.size
+
+    def transform(self, X) -> np.ndarray:
+        """Project each row through beta."""
+        return np.asarray(X, dtype=np.float64) @ self.beta
 
 
-def transform(model: LccModel, instance: np.ndarray) -> float | np.ndarray:
-    """Project one instance (or a stack of rows) through beta."""
-    instance = np.asarray(instance, dtype=np.float64)
-    if instance.shape[-1] != model.beta.shape[0]:
-        raise ValueError(
-            f"expected {model.beta.shape[0]} features, got {instance.shape[-1]}")
-    return instance @ model.beta
-
-
-def score(model: LccModel, instance: np.ndarray) -> float | np.ndarray:
-    """Signed distance of the projection from the midpoint threshold."""
-    return transform(model, instance) - model.l_hat
-
-
-def predict(model: LccModel, instance: np.ndarray) -> int | np.ndarray:
-    """-1 below the midpoint threshold, +1 at or above it."""
-    s = score(model, instance)
-    return np.where(np.asarray(s) < 0, -1, 1).astype(np.int64) if \
-        np.ndim(s) else (-1 if s < 0 else 1)
-
-
-def model_from_beta(train: Dataset, beta: np.ndarray, lam: float,
-                    sigma: float, normalizer: Normalizer | None = None) -> LccModel:
-    """The model a fixed projection implies: centers, threshold, slacks."""
-    _check_params(lam, sigma)
-    beta = np.asarray(beta, dtype=np.float64)
+def _projected_centers(train: Dataset, beta: np.ndarray):
+    """(c_neg_hat, c_pos_hat, l_hat): the class centers projected through
+    beta, and their midpoint."""
     center_neg, center_pos = class_centers(train)
     c_neg_hat = float(center_neg @ beta)
     c_pos_hat = float(center_pos @ beta)
-    l_hat = (c_neg_hat + c_pos_hat) / 2.0
+    return c_neg_hat, c_pos_hat, (c_neg_hat + c_pos_hat) / 2.0
+
+
+def model_from_beta(train: Dataset, beta: np.ndarray, lam: float,
+                    sigma: float) -> LccModel:
+    """The model a fixed projection implies: centers, threshold, slacks."""
+    _check_params(lam, sigma)
+    beta = np.asarray(beta, dtype=np.float64)
+    c_neg_hat, c_pos_hat, l_hat = _projected_centers(train, beta)
     projected = train.features @ beta
     epsilons = np.maximum(sigma, train.labels * (l_hat - projected))
     return LccModel(beta, c_neg_hat, c_pos_hat, l_hat, float(lam),
-                    float(sigma), epsilons, normalizer)
+                    float(sigma), epsilons)
 
 
 def _infeasible_message(train: Dataset, sigma: float) -> str:
@@ -150,24 +162,21 @@ def _infeasible_message(train: Dataset, sigma: float) -> str:
 
 
 def train_lcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
-              sigma: float = DEFAULT_SIGMA,
-              normalizer: Normalizer | None = None) -> LccModel:
-    """Fit the linear centralization classifier by solving its LP."""
+              sigma: float = DEFAULT_SIGMA) -> LccModel:
+    """Fit the linear centralization classifier by solving its LP.
+
+    The slacks are the solver's own: recomputed from beta, as
+    model_from_beta does, they can differ in the last bit.
+    """
     problem = assemble_lcc_lp(train, lam, sigma)
     solution: LpSolution = solve(problem)
     if solution.status == "infeasible":
         raise TrainingError(_infeasible_message(train, sigma))
     if solution.status != "optimal":
         raise TrainingError(f"unexpected solver status {solution.status!r}")
-    n = train.n
-    beta = solution.x[:n]
-    epsilons = solution.x[n:]
-    center_neg, center_pos = class_centers(train)
-    c_neg_hat = float(center_neg @ beta)
-    c_pos_hat = float(center_pos @ beta)
-    l_hat = (c_neg_hat + c_pos_hat) / 2.0
-    return LccModel(beta, c_neg_hat, c_pos_hat, l_hat, float(lam),
-                    float(sigma), epsilons, normalizer)
+    beta = solution.x[:train.n]
+    return LccModel(beta, *_projected_centers(train, beta), float(lam),
+                    float(sigma), solution.x[train.n:])
 
 
 @dataclass(frozen=True)
@@ -181,8 +190,26 @@ class FqccModel:
     sigma: float
     objective: float
 
+    FIELDS = (("beta", "floats"), ("c_neg_hat", "float"),
+              ("c_pos_hat", "float"), ("lam", "float"), ("sigma", "float"),
+              ("objective", "float"))
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", _frozen(self.beta))
+        object.__setattr__(self, "beta", _frozen(self.beta, np.float64))
+
+    @property
+    def n_features(self) -> int:
+        return self.beta.size
+
+    def score(self, X) -> np.ndarray:
+        """Positive when the projection sits closer to the +1 center."""
+        projected = np.asarray(X, dtype=np.float64) @ self.beta
+        return (np.abs(projected - self.c_neg_hat)
+                - np.abs(projected - self.c_pos_hat))
+
+    def predict(self, X) -> np.ndarray:
+        """-1 when the projection is at least as close to the -1 center."""
+        return np.where(self.score(X) <= 0, -1, 1)
 
 
 def fqcc_epsilons(features: np.ndarray, labels: np.ndarray,
@@ -197,9 +224,7 @@ def fqcc_epsilons(features: np.ndarray, labels: np.ndarray,
 
 def fqcc_objective(train: Dataset, beta: np.ndarray, lam: float,
                    sigma: float) -> float:
-    center_neg, center_pos = class_centers(train)
-    c_neg_hat = float(center_neg @ beta)
-    c_pos_hat = float(center_pos @ beta)
+    c_neg_hat, c_pos_hat, _ = _projected_centers(train, beta)
     eps = fqcc_epsilons(train.features, train.labels, beta,
                         c_neg_hat, c_pos_hat, sigma)
     return float(-abs(c_neg_hat - c_pos_hat) + lam * eps.sum())
@@ -271,25 +296,3 @@ def train_fqcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
     c_pos_hat = float(center_pos @ best_beta)
     return FqccModel(best_beta, c_neg_hat, c_pos_hat, float(lam),
                      float(sigma), best_value)
-
-
-def fqcc_score(model: FqccModel, instance: np.ndarray) -> float | np.ndarray:
-    """Positive when the projection sits closer to the +1 center."""
-    instance = np.asarray(instance, dtype=np.float64)
-    projected = instance @ model.beta
-    return (np.abs(projected - model.c_neg_hat)
-            - np.abs(projected - model.c_pos_hat))
-
-
-def fqcc_predict(model: FqccModel, instance: np.ndarray) -> int | np.ndarray:
-    """-1 when the projection is at least as close to the -1 center."""
-    s = fqcc_score(model, instance)
-    return np.where(np.asarray(s) <= 0, -1, 1).astype(np.int64) if \
-        np.ndim(s) else (-1 if s <= 0 else 1)
-
-
-def timed_train(trainer, *args, **kwargs):
-    """(model, wall milliseconds) for any trainer in this package."""
-    start = time.perf_counter()
-    model = trainer(*args, **kwargs)
-    return model, (time.perf_counter() - start) * 1000.0

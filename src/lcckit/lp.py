@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _frozen
+
 PIVOT_TOLERANCE = 1e-9
 FEASIBILITY_TOLERANCE = 1e-7
 REFACTOR_EVERY = 100
@@ -38,12 +40,6 @@ class CyclingError(RuntimeError):
 
 class LpFormatError(ValueError):
     """The problem description is malformed."""
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ class LpSolution:
         if self.status not in ("optimal", "infeasible", "unbounded"):
             raise LpFormatError(f"unknown status {self.status!r}")
         if self.x is not None:
-            object.__setattr__(self, "x", _frozen(np.asarray(self.x, dtype=np.float64)))
+            object.__setattr__(self, "x", _frozen(self.x, np.float64))
 
 
 def format_problem(problem: LpProblem) -> str:

@@ -4,6 +4,13 @@ Every float is written with float.hex(), so a model written and read
 back predicts bit-for-bit identically.  The format is line oriented:
 a header line, then "key value..." records, with matrix records
 carrying their row and column counts.
+
+Each model class lists its records in FIELDS, in file order, as
+(attribute, encoding) pairs, and one writer and one reader walk those
+lists.  Encodings: "float" one value, "floats" a vector, "int" one
+integer, "ints" an integer vector, "word" one bare token, "matrix" a
+"key rows cols" line followed by one line per row.  A trailing "?"
+marks a record that may be absent; its attribute is then None.
 """
 
 from __future__ import annotations
@@ -12,18 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import LdaModel, SvmModel, lda_predict, lda_score, \
-    svm_predict, svm_score
 from .data import Normalizer, normalize_features
-from .discriminators import Discriminator, discriminate, discriminator_score
-from .kernel import KernelLccModel, KernelSpec, kpredict, kscore, ktransform
-from .lcc import FqccModel, LccModel, fqcc_predict, fqcc_score, predict, \
-    score, transform
+from .discriminators import FIELDS as RULE_FIELDS, Discriminator
+from .evaluation import METHODS, Discriminated
+# perfbench/spans.py wraps these names here; predict goes through the model
+from .discriminators import discriminate, discriminator_score  # noqa: F401
+from .evaluation import kscore  # noqa: F401
 
 FORMAT_HEADER = "lcckit-model"
 FORMAT_VERSION = 1
 
-KIND_NAMES = ("lcc", "fqcc", "klcc", "lda", "svm")
+HEADER_FIELDS = (("original_n", "int?"), ("kept_columns", "ints?"))
+NORMALIZER_FIELDS = (("means", "floats"), ("stds", "floats"))
 
 
 class ModelIoError(ValueError):
@@ -32,107 +39,94 @@ class ModelIoError(ValueError):
 
 @dataclass(frozen=True)
 class SavedClassifier:
-    """A trained model plus everything predict needs on raw input rows."""
+    """A trained model plus everything predict needs on raw input rows.
 
-    kind: str
+    The model takes len(kept_columns) features, or original_n when no
+    columns were dropped; the normalizer, if any, has the same width.
+    """
+
     model: object
-    discriminator: Discriminator | None = None
     normalizer: Normalizer | None = None
     kept_columns: np.ndarray | None = None
     original_n: int | None = None
 
-
-def _hex(x: float) -> str:
-    return float(x).hex()
+    def __post_init__(self) -> None:
+        kept, n = self.kept_columns, self.original_n
+        if kept is not None and (n is None or
+                                 not all(0 <= c < n for c in kept)):
+            raise ModelIoError("kept_columns need original_n and must lie "
+                               f"in [0, {n})")
+        width = self.model.n_features
+        expected = n if kept is None else len(kept)
+        if expected is not None and width != expected:
+            raise ModelIoError(f"the model takes {width} feature(s), the "
+                               f"kept columns are {expected}")
+        norm = self.normalizer
+        if norm is not None and not norm.means.size == norm.stds.size == width:
+            raise ModelIoError(f"the normalizer does not have {width} "
+                               "means and stds")
 
 
 def _hex_vec(v) -> str:
-    return " ".join(_hex(x) for x in np.asarray(v, dtype=np.float64))
+    return " ".join(float(x).hex() for x in np.asarray(v, dtype=np.float64))
 
 
-def _parse_floats(tokens) -> np.ndarray:
-    try:
-        return np.array([float.fromhex(t) for t in tokens], dtype=np.float64)
-    except ValueError as exc:
-        raise ModelIoError(f"bad float field: {exc}") from None
+_ENCODE = {"float": lambda x: float(x).hex(), "floats": _hex_vec,
+           "int": str, "ints": lambda v: " ".join(str(int(x)) for x in v),
+           "word": str}
 
 
-def _emit_model(kind: str, model, out: list[str]) -> None:
-    if kind == "lcc":
-        out.append(f"beta {_hex_vec(model.beta)}")
-        out.append(f"c_neg_hat {_hex(model.c_neg_hat)}")
-        out.append(f"c_pos_hat {_hex(model.c_pos_hat)}")
-        out.append(f"l_hat {_hex(model.l_hat)}")
-        out.append(f"lam {_hex(model.lam)}")
-        out.append(f"sigma {_hex(model.sigma)}")
-        out.append(f"epsilons {_hex_vec(model.epsilons)}")
-    elif kind == "fqcc":
-        out.append(f"beta {_hex_vec(model.beta)}")
-        out.append(f"c_neg_hat {_hex(model.c_neg_hat)}")
-        out.append(f"c_pos_hat {_hex(model.c_pos_hat)}")
-        out.append(f"lam {_hex(model.lam)}")
-        out.append(f"sigma {_hex(model.sigma)}")
-        out.append(f"objective {_hex(model.objective)}")
-    elif kind == "klcc":
-        rows, cols = model.train_features.shape
-        out.append(f"kernel {model.spec.kind}")
-        if model.spec.rbf_width is not None:
-            out.append(f"rbf_width {_hex(model.spec.rbf_width)}")
-        out.append(f"alphas {_hex_vec(model.alphas)}")
-        out.append(f"train_features {rows} {cols}")
-        for row in model.train_features:
-            out.append(_hex_vec(row))
-        out.append(f"c_neg_hat {_hex(model.c_neg_hat)}")
-        out.append(f"c_pos_hat {_hex(model.c_pos_hat)}")
-        out.append(f"l_hat {_hex(model.l_hat)}")
-        out.append(f"lam {_hex(model.lam)}")
-        out.append(f"sigma {_hex(model.sigma)}")
-        out.append(f"epsilons {_hex_vec(model.epsilons)}")
-    elif kind == "lda":
-        out.append(f"weight {_hex_vec(model.weight)}")
-        out.append(f"k {_hex(model.k)}")
-        out.append(f"lambda_reg {_hex(model.lambda_reg)}")
-    elif kind == "svm":
-        out.append(f"weight {_hex_vec(model.weight)}")
-        out.append(f"intercept {_hex(model.intercept)}")
-        out.append(f"lam {_hex(model.lam)}")
-    else:
-        raise ModelIoError(f"unknown model kind {kind!r}")
+def _emit(obj, fields, out: list, prefix: str = "") -> None:
+    """Append one record per field of obj; a field set to None (only
+    optional ones are) writes nothing."""
+    for name, codec in fields:
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        if codec == "matrix":
+            out.append(f"{prefix}{name} {value.shape[0]} {value.shape[1]}")
+            out.extend(_hex_vec(row) for row in value)
+        else:
+            out.append(f"{prefix}{name} {_ENCODE[codec.rstrip('?')](value)}")
 
 
 def save_classifier(path: str, saved: SavedClassifier) -> None:
-    if saved.kind not in KIND_NAMES:
-        raise ModelIoError(f"unknown model kind {saved.kind!r}")
-    out = [f"{FORMAT_HEADER} {FORMAT_VERSION}", f"kind {saved.kind}"]
-    if saved.original_n is not None:
-        out.append(f"original_n {saved.original_n}")
-    if saved.kept_columns is not None:
-        cols = " ".join(str(int(c)) for c in saved.kept_columns)
-        out.append(f"kept_columns {cols}")
+    model = saved.model
+    base, rule = ((model.base, model.rule) if isinstance(model, Discriminated)
+                  else (model, None))
+    kinds = [m.name for m in METHODS.values() if type(base) is m.model]
+    if not kinds:
+        raise ModelIoError(f"cannot save a {type(base).__name__}")
+    out = [f"{FORMAT_HEADER} {FORMAT_VERSION}", f"kind {kinds[0]}"]
+    _emit(saved, HEADER_FIELDS, out)
     if saved.normalizer is not None:
-        out.append(f"normalizer_means {_hex_vec(saved.normalizer.means)}")
-        out.append(f"normalizer_stds {_hex_vec(saved.normalizer.stds)}")
-    _emit_model(saved.kind, saved.model, out)
-    d = saved.discriminator
-    if d is not None:
-        out.append(f"discriminator {d.kind}")
-        if d.kind == "dist":
-            out.append(f"d_threshold {_hex(d.threshold)}")
-        elif d.kind == "one_nn":
-            out.append(f"d_values {_hex_vec(d.values)}")
-            labs = " ".join(str(int(v)) for v in d.labels)
-            out.append(f"d_labels {labs}")
-        else:
-            out.append(f"d_scale {_hex(d.scale)}")
-            out.append(f"d_weight {_hex(d.weight)}")
-            out.append(f"d_intercept {_hex(d.intercept)}")
-            out.append(f"d_h {_hex(d.h)}")
+        _emit(saved.normalizer, NORMALIZER_FIELDS, out, "normalizer_")
+    _emit(base, base.FIELDS, out)
+    if rule is not None:
+        out.append(f"discriminator {rule.kind}")
+        _emit(rule, RULE_FIELDS[rule.kind], out, "d_")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")
 
 
-class _Records:
-    """Sequential access to the parsed "key tokens..." lines."""
+def _parse(tokens: list, key: str, codec: str):
+    """The value one record's tokens encode."""
+    if codec in ("float", "int", "word") and len(tokens) != 1:
+        raise ModelIoError(f"field {key!r} must hold one value")
+    if codec == "word":
+        return tokens[0]
+    ints = codec.startswith("int")
+    try:
+        values = np.array([int(t) if ints else float.fromhex(t)
+                           for t in tokens],
+                          dtype=np.int64 if ints else np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise ModelIoError(f"bad {codec} field {key!r}: {exc}") from None
+    return values if codec.endswith("s") else values[0].item()
+
+
+class _Reader:
+    """Walks the "key tokens..." lines after the header, in file order."""
 
     def __init__(self, lines: list[str]):
         self.lines = lines
@@ -143,105 +137,42 @@ class _Records:
             return None
         return self.lines[self.pos].split(None, 1)[0]
 
-    def take(self, key: str) -> list[str]:
+    def line(self) -> list[str]:
+        if self.pos >= len(self.lines):
+            raise ModelIoError("the file ends inside a matrix field")
+        self.pos += 1
+        return self.lines[self.pos - 1].split()
+
+    def field(self, key: str, codec: str):
+        """The next record's value; None for an absent optional field."""
         if self.peek_key() != key:
+            if codec.endswith("?"):
+                return None
             raise ModelIoError(
                 f"expected field {key!r}, found "
                 f"{self.peek_key()!r} (line {self.pos + 1})")
-        tokens = self.lines[self.pos].split()[1:]
-        self.pos += 1
-        return tokens
+        tokens = self.line()[1:]
+        if codec != "matrix":
+            return _parse(tokens, key, codec.rstrip("?"))
+        shape = _parse(tokens, key, "ints")
+        if shape.size != 2 or shape.min() < 0:
+            raise ModelIoError(f"field {key!r} needs rows and cols")
+        rows = [_parse(self.line(), key, "floats") for _ in range(shape[0])]
+        if any(row.size != shape[1] for row in rows):
+            raise ModelIoError(f"every {key} row must hold {shape[1]} values")
+        return np.array(rows, dtype=np.float64).reshape(shape)
 
-    def take_raw(self) -> list[str]:
-        tokens = self.lines[self.pos].split()
-        self.pos += 1
-        return tokens
-
-    def maybe(self, key: str) -> list[str] | None:
-        if self.peek_key() == key:
-            return self.take(key)
-        return None
-
-
-def _scalar(records: _Records, key: str) -> float:
-    tokens = records.take(key)
-    if len(tokens) != 1:
-        raise ModelIoError(f"field {key!r} must hold one value")
-    return float(_parse_floats(tokens)[0])
+    def fields(self, fields, prefix: str = "") -> dict:
+        return {name: self.field(prefix + name, codec)
+                for name, codec in fields}
 
 
-def _read_model(kind: str, records: _Records):
-    if kind == "lcc":
-        beta = _parse_floats(records.take("beta"))
-        return LccModel(beta, _scalar(records, "c_neg_hat"),
-                        _scalar(records, "c_pos_hat"),
-                        _scalar(records, "l_hat"),
-                        _scalar(records, "lam"), _scalar(records, "sigma"),
-                        _parse_floats(records.take("epsilons")))
-    if kind == "fqcc":
-        beta = _parse_floats(records.take("beta"))
-        return FqccModel(beta, _scalar(records, "c_neg_hat"),
-                         _scalar(records, "c_pos_hat"),
-                         _scalar(records, "lam"), _scalar(records, "sigma"),
-                         _scalar(records, "objective"))
-    if kind == "klcc":
-        kernel = records.take("kernel")
-        if len(kernel) != 1:
-            raise ModelIoError("field 'kernel' must hold one value")
-        width_tokens = records.maybe("rbf_width")
-        width = float(_parse_floats(width_tokens)[0]) if width_tokens else None
-        spec = KernelSpec(kernel[0], width)
-        alphas = _parse_floats(records.take("alphas"))
-        shape = records.take("train_features")
-        if len(shape) != 2:
-            raise ModelIoError("field 'train_features' needs rows and cols")
-        rows, cols = int(shape[0]), int(shape[1])
-        feats = np.empty((rows, cols))
-        for i in range(rows):
-            row = _parse_floats(records.take_raw())
-            if row.size != cols:
-                raise ModelIoError(
-                    f"train_features row {i + 1} has {row.size} values, "
-                    f"expected {cols}")
-            feats[i] = row
-        return KernelLccModel(alphas, feats, spec,
-                              _scalar(records, "c_neg_hat"),
-                              _scalar(records, "c_pos_hat"),
-                              _scalar(records, "l_hat"),
-                              _scalar(records, "lam"),
-                              _scalar(records, "sigma"),
-                              _parse_floats(records.take("epsilons")))
-    if kind == "lda":
-        weight = _parse_floats(records.take("weight"))
-        return LdaModel(weight, _scalar(records, "k"),
-                        _scalar(records, "lambda_reg"))
-    weight = _parse_floats(records.take("weight"))
-    return SvmModel(weight, _scalar(records, "intercept"),
-                    _scalar(records, "lam"))
-
-
-def _read_discriminator(records: _Records) -> Discriminator | None:
-    tokens = records.maybe("discriminator")
-    if tokens is None:
-        return None
-    if len(tokens) != 1:
-        raise ModelIoError("field 'discriminator' must hold one value")
-    kind = tokens[0]
-    if kind == "dist":
-        return Discriminator(kind="dist",
-                             threshold=_scalar(records, "d_threshold"))
-    if kind == "one_nn":
-        values = _parse_floats(records.take("d_values"))
-        labels = np.array([int(t) for t in records.take("d_labels")],
-                          dtype=np.int64)
-        return Discriminator(kind="one_nn", values=values, labels=labels)
-    if kind == "one_sv":
-        return Discriminator(kind="one_sv",
-                             scale=_scalar(records, "d_scale"),
-                             weight=_scalar(records, "d_weight"),
-                             intercept=_scalar(records, "d_intercept"),
-                             h=_scalar(records, "d_h"))
-    raise ModelIoError(f"unknown discriminator kind {kind!r}")
+def _build(cls, values: dict):
+    """cls(**values), with its validation errors as ModelIoError."""
+    try:
+        return cls(**values)
+    except (ValueError, RuntimeError) as exc:
+        raise ModelIoError(f"bad {cls.__name__} fields: {exc}") from None
 
 
 def load_classifier(path: str) -> SavedClassifier:
@@ -255,34 +186,28 @@ def load_classifier(path: str) -> SavedClassifier:
     if header[1] != str(FORMAT_VERSION):
         raise ModelIoError(f"unsupported model file version {header[1]!r}; "
                            f"this build reads version {FORMAT_VERSION}")
-    records = _Records(lines[1:])
-    kind_tokens = records.take("kind")
-    if len(kind_tokens) != 1 or kind_tokens[0] not in KIND_NAMES:
-        raise ModelIoError(f"unknown model kind {kind_tokens!r}")
-    kind = kind_tokens[0]
-    original = records.maybe("original_n")
-    original_n = int(original[0]) if original else None
-    kept_tokens = records.maybe("kept_columns")
-    kept = (np.array([int(t) for t in kept_tokens], dtype=np.int64)
-            if kept_tokens is not None else None)
+    records = _Reader(lines[1:])
+    kind = records.field("kind", "word")
+    if kind not in METHODS:
+        raise ModelIoError(f"unknown model kind {kind!r}")
+    head = records.fields(HEADER_FIELDS)
     norm = None
-    means_tokens = records.maybe("normalizer_means")
-    if means_tokens is not None:
-        means = _parse_floats(means_tokens)
-        stds = _parse_floats(records.take("normalizer_stds"))
-        norm = Normalizer(means, stds)
-    model = _read_model(kind, records)
-    rule = _read_discriminator(records)
+    if records.peek_key() == "normalizer_means":
+        norm = _build(Normalizer,
+                      records.fields(NORMALIZER_FIELDS, "normalizer_"))
+    cls = METHODS[kind].model
+    model = _build(cls, records.fields(cls.FIELDS))
+    rule_kind = records.field("discriminator", "word?")
+    if rule_kind is not None:
+        if rule_kind not in RULE_FIELDS:
+            raise ModelIoError(f"unknown discriminator kind {rule_kind!r}")
+        rule = _build(Discriminator, {"kind": rule_kind, **records.fields(
+            RULE_FIELDS[rule_kind], "d_")})
+        model = _build(Discriminated, {"base": model, "rule": rule})
     if records.peek_key() is not None:
         raise ModelIoError(
             f"unexpected trailing field {records.peek_key()!r}")
-    return SavedClassifier(kind, model, rule, norm, kept, original_n)
-
-
-def _project(saved: SavedClassifier, feats: np.ndarray) -> np.ndarray:
-    if saved.kind == "lcc":
-        return transform(saved.model, feats)
-    return ktransform(saved.model, feats)
+    return SavedClassifier(model, norm, **head)
 
 
 def predict_saved(saved: SavedClassifier,
@@ -299,19 +224,4 @@ def predict_saved(saved: SavedClassifier,
         feats = feats[:, saved.kept_columns]
     if saved.normalizer is not None:
         feats = normalize_features(saved.normalizer, feats)
-    if feats.size == 0:
-        return (np.zeros(feats.shape[0], dtype=np.int64),
-                np.zeros(feats.shape[0]))
-    if saved.discriminator is not None:
-        projected = _project(saved, feats)
-        return (discriminate(saved.discriminator, projected),
-                discriminator_score(saved.discriminator, projected))
-    if saved.kind == "lcc":
-        return predict(saved.model, feats), score(saved.model, feats)
-    if saved.kind == "fqcc":
-        return fqcc_predict(saved.model, feats), fqcc_score(saved.model, feats)
-    if saved.kind == "klcc":
-        return kpredict(saved.model, feats), kscore(saved.model, feats)
-    if saved.kind == "lda":
-        return lda_predict(saved.model, feats), lda_score(saved.model, feats)
-    return svm_predict(saved.model, feats), svm_score(saved.model, feats)
+    return saved.model.predict(feats), saved.model.score(feats)

@@ -21,9 +21,9 @@ from lcckit.data import (Dataset, apply_normalizer, demo_gaussian_pair,
 from lcckit.evaluation import (BenchmarkConfig, rank_sum_test, roc_auc,
                                run_benchmark, stratified_split)
 from lcckit.kernel import (KernelSpec, assemble_klcc_lp,
-                           median_pairwise_distance, train_klcc, kpredict)
-from lcckit.lcc import (assemble_lcc_lp, fqcc_score, model_from_beta,
-                        predict, score, train_fqcc, train_lcc)
+                           median_pairwise_distance, train_klcc)
+from lcckit.lcc import (assemble_lcc_lp, model_from_beta, train_fqcc,
+                        train_lcc)
 from lcckit.lp import LpProblem, solve
 
 from tests.helpers import auc_brute_force, lp_brute_force, random_box_lp, \
@@ -98,7 +98,7 @@ def test_positive_rescaling_of_coefficients_never_changes_labels():
         base = model_from_beta(data, beta, 2.0, -0.01)
         scaled = model_from_beta(data, factor * beta, 2.0, -0.01)
         probe = rng.normal(0.0, 3.0, (25, n))
-        assert np.array_equal(predict(base, probe), predict(scaled, probe))
+        assert np.array_equal(base.predict(probe), scaled.predict(probe))
 
 
 def test_gaussian_example_reaches_mean_test_auc_099():
@@ -108,7 +108,7 @@ def test_gaussian_example_reaches_mean_test_auc_099():
     for seed in range(20):
         train, test = normalized_split(data, seed)
         model = train_lcc(train)
-        aucs.append(roc_auc(score(model, test.features), test.labels).auc)
+        aucs.append(roc_auc(model.score(test.features), test.labels).auc)
     assert np.mean(aucs) >= 0.99
     assert time.perf_counter() - start < 10.0
 
@@ -123,9 +123,8 @@ def test_rbf_training_separates_rings_spiral_and_jain_shapes():
             train, test = normalized_split(data, seed)
             width = median_pairwise_distance(train.features) / 8.0
             model = train_klcc(train, KernelSpec("rbf", width))
-            train_acc = np.mean(kpredict(model, train.features)
-                                == train.labels)
-            test_acc = np.mean(kpredict(model, test.features) == test.labels)
+            train_acc = np.mean(model.predict(train.features) == train.labels)
+            test_acc = np.mean(model.predict(test.features) == test.labels)
             assert train_acc >= train_floor, (shape, seed, train_acc)
             assert test_acc >= test_floor, (shape, seed, test_acc)
     assert time.perf_counter() - start < 60.0
@@ -154,9 +153,9 @@ def test_quadratic_variant_ties_lp_variant_on_auc_but_trains_slower():
             t = time.perf_counter()
             quad_model = train_fqcc(train, seed=100 + seed)
             quad_times.append(time.perf_counter() - t)
-            lp_aucs.append(roc_auc(score(lp_model, test.features),
+            lp_aucs.append(roc_auc(lp_model.score(test.features),
                                    test.labels).auc)
-            quad_aucs.append(roc_auc(fqcc_score(quad_model, test.features),
+            quad_aucs.append(roc_auc(quad_model.score(test.features),
                                      test.labels).auc)
         assert rank_sum_test(lp_aucs, quad_aucs) > 0.05
     assert np.median(lp_times) < np.median(quad_times)

@@ -3,10 +3,6 @@ import pytest
 
 from lcckit.baselines import (
     hinge_objective,
-    lda_predict,
-    lda_score,
-    svm_predict,
-    svm_score,
     train_lda,
     train_linear_svm,
 )
@@ -65,26 +61,26 @@ def test_lda_reg_out_of_range():
 def test_lda_separates_demo_pair():
     ds = demo_gaussian_pair(m_per_class=80, seed=3)
     model = train_lda(ds)
-    assert np.mean(lda_predict(model, ds.features) == ds.labels) == 1.0
+    assert np.mean(model.predict(ds.features) == ds.labels) == 1.0
 
 
 def test_lda_prediction_invariant_to_common_rescale():
     from lcckit.baselines import LdaModel
     ds = demo_gaussian_pair(m_per_class=40, seed=4)
     model = train_lda(ds)
-    base = lda_predict(model, ds.features)
+    base = model.predict(ds.features)
     for factor in (0.01, 3.0, 1000.0):
         scaled = LdaModel(model.weight * factor, model.k * factor,
                           model.lambda_reg)
-        np.testing.assert_array_equal(lda_predict(scaled, ds.features), base)
+        np.testing.assert_array_equal(scaled.predict(ds.features), base)
 
 
 def test_lda_score_shapes():
     ds = demo_gaussian_pair(m_per_class=10, seed=5)
     model = train_lda(ds)
-    one = lda_score(model, ds.features[0])
-    assert isinstance(one, float)
-    assert lda_score(model, ds.features).shape == (ds.m,)
+    one = model.score(ds.features[:1])
+    assert one.shape == (1,)
+    assert model.score(ds.features).shape == (ds.m,)
 
 
 # -------------------------------------------------------------------- SVM
@@ -142,12 +138,12 @@ def test_svm_validation():
 def test_svm_separates_demo_pair():
     ds = demo_gaussian_pair(m_per_class=60, seed=9)
     model = train_linear_svm(ds, seed=1)
-    assert np.mean(svm_predict(model, ds.features) == ds.labels) >= 0.99
+    assert np.mean(model.predict(ds.features) == ds.labels) >= 0.99
 
 
 def test_svm_score_sign_drives_predict():
     ds = demo_gaussian_pair(m_per_class=20, seed=10)
     model = train_linear_svm(ds, seed=3)
-    s = svm_score(model, ds.features)
-    np.testing.assert_array_equal(svm_predict(model, ds.features),
+    s = model.score(ds.features)
+    np.testing.assert_array_equal(model.predict(ds.features),
                                   np.where(s < 0, -1, 1))

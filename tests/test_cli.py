@@ -264,3 +264,13 @@ def test_demo_deterministic(tmp_path):
         texts.append((out / "demo_histograms.csv").read_text()
                      + (out / "demo_roc.csv").read_text())
     assert texts[0] == texts[1]
+
+
+def test_predict_malformed_model_exits_1(tmp_path, capsys):
+    out = train_dir(tmp_path)
+    path = out / "model.txt"
+    path.write_text(path.read_text().replace("original_n 2", "original_n two"))
+    write_feature_csv(tmp_path / "q.csv", np.zeros((2, 2)))
+    assert main(["predict", "--model", str(path),
+                 "--data", str(tmp_path / "q.csv")]) == 1
+    assert "lcckit predict: error: bad int field" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from lcckit.discriminators import (
     solve_svm_1d,
     svm_1d_objective,
 )
-from lcckit.lcc import predict, train_lcc, transform
+from lcckit.lcc import train_lcc
 
 from tests.helpers import svm_1d_grid_oracle
 
@@ -19,7 +19,7 @@ from tests.helpers import svm_1d_grid_oracle
 def projected_demo(seed, m_per_class=30):
     ds = demo_gaussian_pair(m_per_class=m_per_class, seed=seed)
     model = train_lcc(ds)
-    return ds, model, transform(model, ds.features)
+    return ds, model, model.transform(ds.features)
 
 
 # ---------------------------------------------------------------- 1-D SVM
@@ -91,7 +91,7 @@ def test_dist_rule_uses_model_threshold():
     d = fit_discriminator("dist", values, ds.labels, model)
     assert d.threshold == model.l_hat
     np.testing.assert_array_equal(discriminate(d, values),
-                                  predict(model, ds.features))
+                                  model.predict(ds.features))
 
 
 def test_dist_tie_is_positive():
@@ -144,7 +144,7 @@ def test_one_sv_h_invariance_on_separable_data():
     """Rescaling the projected axis rescales w and leaves every decision
     unchanged when the classes separate cleanly."""
     ds, model, values = projected_demo(seed=3)
-    assert np.mean(predict(model, ds.features) == ds.labels) == 1.0
+    assert np.mean(model.predict(ds.features) == ds.labels) == 1.0
     outputs = []
     for h in (1.0, 10.0, 100.0):
         d = fit_discriminator("one_sv", values, ds.labels, model, h=h)

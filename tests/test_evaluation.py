@@ -11,7 +11,7 @@ from lcckit.evaluation import (
     BenchmarkConfig,
     EvalError,
     aggregate_ranks,
-    make_method,
+    check_methods,
     rank_sum_test,
     report_to_csv,
     roc_auc,
@@ -231,13 +231,19 @@ def test_rank_sum_empty_rejected():
 
 # -------------------------------------------------------------- benchmark
 
-def test_make_method_validation():
+def test_check_methods_validation():
     with pytest.raises(EvalError, match="unknown method"):
-        make_method("forest")
+        check_methods(["forest"], {})
     with pytest.raises(EvalError, match="lcc or klcc"):
-        make_method("lda", discriminator="dist")
+        check_methods(["lda"], {"discriminator": "dist"})
     with pytest.raises(EvalError, match="unknown discriminator"):
-        make_method("lcc", discriminator="2nn")
+        check_methods(["lcc"], {"discriminator": "2nn"})
+    with pytest.raises(EvalError, match="unknown parameter"):
+        check_methods(["lcc"], {"gamma": 1.0})
+    ds = demo_gaussian_pair(m_per_class=10, seed=1)
+    with pytest.raises(EvalError, match="lcc or klcc"):
+        run_benchmark(BenchmarkConfig(ds, ("lcc", "lda"), runs=1,
+                                      params={"discriminator": "one_nn"}))
 
 
 def test_grid_definitions():
@@ -271,6 +277,14 @@ def test_procedure_one_record_counts_and_shared_splits():
         by_method.setdefault(r.method, []).append(r)
     assert sorted(by_method) == ["lcc", "lda"]
     assert [r.run for r in by_method["lcc"]] == [0, 1, 2, 3]
+
+
+def test_procedure_one_times_each_fit():
+    ds = demo_gaussian_pair(m_per_class=10, seed=2)
+    report = run_benchmark(BenchmarkConfig(ds, ("lcc", "fqcc"), runs=2))
+    assert len(report.records) == 4
+    assert all(math.isfinite(r.train_ms) and r.train_ms >= 0.0
+               for r in report.records)
 
 
 def test_procedure_one_failures_recorded_not_raised():

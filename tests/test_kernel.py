@@ -14,13 +14,11 @@ from lcckit.kernel import (
     assemble_klcc_lp,
     gram,
     kernel_eval,
-    kpredict,
-    kscore,
-    ktransform,
     median_pairwise_distance,
     train_klcc,
 )
-from lcckit.lcc import TrainingError, predict, train_lcc
+from lcckit.lcc import TrainingError, train_lcc
+from lcckit.model_io import SavedClassifier, predict_saved
 
 
 def test_kernel_spec_validation():
@@ -91,8 +89,7 @@ def test_linear_kernel_agrees_with_plain_lcc_1d():
         lin = train_lcc(ds)
         ker = train_klcc(ds, KernelSpec("linear"))
         probe = rng.normal(scale=3.0, size=(40, 1))
-        np.testing.assert_array_equal(predict(lin, probe),
-                                      kpredict(ker, probe))
+        np.testing.assert_array_equal(lin.predict(probe), ker.predict(probe))
 
 
 def test_linear_kernel_agrees_with_plain_lcc_2d():
@@ -101,27 +98,26 @@ def test_linear_kernel_agrees_with_plain_lcc_2d():
         probe = demo_gaussian_pair(m_per_class=80, seed=seed + 100).features
         lin = train_lcc(train)
         ker = train_klcc(train, KernelSpec("linear"))
-        np.testing.assert_array_equal(predict(lin, train.features),
-                                      kpredict(ker, train.features))
-        np.testing.assert_array_equal(predict(lin, probe),
-                                      kpredict(ker, probe))
+        np.testing.assert_array_equal(lin.predict(train.features),
+                                      ker.predict(train.features))
+        np.testing.assert_array_equal(lin.predict(probe), ker.predict(probe))
 
 
 def test_ktransform_scalar_and_batch():
     ds = demo_gaussian_pair(m_per_class=10, seed=2)
     model = train_klcc(ds, KernelSpec("linear"))
-    one = ktransform(model, ds.features[0])
-    assert isinstance(one, float)
-    batch = ktransform(model, ds.features[:3])
+    one = model.transform(ds.features[:1])
+    assert one.shape == (1,)
+    batch = model.transform(ds.features[:3])
     assert batch.shape == (3,)
-    assert batch[0] == pytest.approx(one)
+    assert batch[0] == pytest.approx(one[0])
 
 
 def test_kscore_sign_drives_kpredict():
     ds = demo_gaussian_pair(m_per_class=20, seed=3)
     model = train_klcc(ds, KernelSpec("linear"))
-    s = kscore(model, ds.features)
-    p = kpredict(model, ds.features)
+    s = model.score(ds.features)
+    p = model.predict(ds.features)
     np.testing.assert_array_equal(p, np.where(s < 0, -1, 1))
 
 
@@ -130,9 +126,11 @@ def test_rbf_separates_rings():
     norm = fit_normalizer(ds)
     nds = apply_normalizer(norm, ds)
     width = median_pairwise_distance(nds.features)
-    model = train_klcc(nds, KernelSpec("rbf", width), normalizer=norm)
-    assert model.normalizer is norm
-    acc = np.mean(kpredict(model, nds.features) == ds.labels)
+    model = train_klcc(nds, KernelSpec("rbf", width))
+    # the model file carries the normalizer, so raw rows predict the same
+    labels, _ = predict_saved(SavedClassifier(model, norm), ds.features)
+    np.testing.assert_array_equal(labels, model.predict(nds.features))
+    acc = np.mean(labels == ds.labels)
     assert acc >= 0.98
 
 
@@ -143,7 +141,7 @@ def test_rbf_generalizes_on_rings():
     width = median_pairwise_distance(nds.features)
     model = train_klcc(nds, KernelSpec("rbf", width))
     fresh = gen_shape("circles", m=120, noise=0.03, seed=99)
-    acc = np.mean(kpredict(model, normalize_features(norm, fresh.features))
+    acc = np.mean(model.predict(normalize_features(norm, fresh.features))
                   == fresh.labels)
     assert acc >= 0.98
 

@@ -10,15 +10,9 @@ from lcckit.lcc import (
     class_centers,
     fqcc_epsilons,
     fqcc_objective,
-    fqcc_predict,
-    fqcc_score,
     model_from_beta,
-    predict,
-    score,
-    timed_train,
     train_fqcc,
     train_lcc,
-    transform,
 )
 
 
@@ -96,20 +90,20 @@ def test_center_gap_honors_sigma():
 
 def test_transform_score_predict_shapes():
     model = train_lcc(toy_1d())
-    assert isinstance(transform(model, np.array([2.0])), float)
+    assert model.transform(np.array([[2.0]])).shape == (1,)
     batch = np.array([[0.0], [2.5], [5.0]])
-    s = score(model, batch)
+    s = model.score(batch)
     assert s.shape == (3,)
-    p = predict(model, batch)
+    p = model.predict(batch)
     np.testing.assert_array_equal(p, [-1, 1, 1])  # tie at the threshold -> +1
-    assert predict(model, np.array([2.5 - 1e-9])) == -1
+    assert model.predict(np.array([[2.5 - 1e-9]])).tolist() == [-1]
 
 
 def test_tie_at_threshold_is_positive():
     model = train_lcc(toy_1d())
-    v = np.array([model.l_hat])  # exactly on the line
-    assert score(model, v) == 0.0
-    assert predict(model, v) == 1
+    v = np.array([[model.l_hat]])  # exactly on the line
+    assert model.score(v).tolist() == [0.0]
+    assert model.predict(v).tolist() == [1]
 
 
 def test_infeasible_identical_centers():
@@ -136,7 +130,7 @@ def test_model_from_beta_matches_training_geometry():
 def test_demo_pair_trains_clean():
     ds = demo_gaussian_pair(m_per_class=100, seed=42)
     model = train_lcc(ds)
-    assert np.mean(predict(model, ds.features) == ds.labels) == 1.0
+    assert np.mean(model.predict(ds.features) == ds.labels) == 1.0
 
 
 def test_scale_invariance_of_labels():
@@ -145,11 +139,11 @@ def test_scale_invariance_of_labels():
     rng = np.random.default_rng(0)
     ds = demo_gaussian_pair(m_per_class=30, seed=8)
     model = train_lcc(ds)
-    base = predict(model, ds.features)
+    base = model.predict(ds.features)
     for _ in range(10):
         k = float(rng.uniform(0.1, 50.0))
         scaled = model_from_beta(ds, model.beta * k, model.lam, model.sigma)
-        np.testing.assert_array_equal(predict(scaled, ds.features), base)
+        np.testing.assert_array_equal(scaled.predict(ds.features), base)
 
 
 def test_fqcc_epsilons_floor_at_sigma():
@@ -186,7 +180,7 @@ def test_fqcc_trains_and_descends():
 def test_fqcc_predicts_demo_pair():
     ds = demo_gaussian_pair(m_per_class=60, seed=12)
     model = train_fqcc(ds, seed=1)
-    assert np.mean(fqcc_predict(model, ds.features) == ds.labels) >= 0.99
+    assert np.mean(model.predict(ds.features) == ds.labels) >= 0.99
 
 
 def test_fqcc_tie_goes_negative():
@@ -194,10 +188,10 @@ def test_fqcc_tie_goes_negative():
     model = train_fqcc(ds, seed=0)
     mid = (model.c_neg_hat + model.c_pos_hat) / 2.0
     # equidistant from both centers in 1-D projection space
-    v = np.array([mid / model.beta[0]]) if model.beta[0] != 0 else None
+    v = np.array([[mid / model.beta[0]]]) if model.beta[0] != 0 else None
     assert v is not None
-    assert fqcc_score(model, v) == pytest.approx(0.0, abs=1e-12)
-    assert fqcc_predict(model, v) == -1
+    assert model.score(v)[0] == pytest.approx(0.0, abs=1e-12)
+    assert model.predict(v).tolist() == [-1]
 
 
 def test_fqcc_deterministic_given_seed():
@@ -214,8 +208,3 @@ def test_fqcc_restart_validation():
     with pytest.raises(TrainingError):
         train_fqcc(toy_1d(), iterations=0)
 
-
-def test_timed_train_returns_model_and_ms():
-    model, ms = timed_train(train_lcc, toy_1d())
-    assert model.beta.shape == (1,)
-    assert ms >= 0.0
