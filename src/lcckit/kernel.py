@@ -121,25 +121,33 @@ class KernelLccModel(Centralizer):
         return kernel_eval(self.spec, X, self.train_features) @ self.alphas
 
 
+def _klcc_program(train: Dataset, spec: KernelSpec, lam: float,
+                  sigma: float):
+    """(problem, center_neg, center_pos): the program and the mean Gram
+    row of each class it was built from, so one Gram matrix serves both."""
+    _check_params(lam, sigma)
+    require_both_classes(train, "assemble_klcc_lp")
+    K = gram(spec, train.features)
+    center_neg = K[train.labels == -1].mean(axis=0)
+    center_pos = K[train.labels == 1].mean(axis=0)
+    return (_centralization_lp(K, train.labels, center_neg, center_pos, lam,
+                               sigma), center_neg, center_pos)
+
+
 def assemble_klcc_lp(train: Dataset, spec: KernelSpec, lam: float,
                      sigma: float) -> LpProblem:
     """The linear program over Gram rows instead of features.
 
     Exactly m + 1 rows and 2m variables.
     """
-    _check_params(lam, sigma)
-    require_both_classes(train, "assemble_klcc_lp")
-    K = gram(spec, train.features)
-    return _centralization_lp(K, train.labels,
-                              K[train.labels == -1].mean(axis=0),
-                              K[train.labels == 1].mean(axis=0), lam, sigma)
+    return _klcc_program(train, spec, lam, sigma)[0]
 
 
 def train_klcc(train: Dataset, spec: KernelSpec,
                lam: float = DEFAULT_LAMBDA,
                sigma: float = DEFAULT_SIGMA) -> KernelLccModel:
     """Fit the kernel classifier by solving its linear program."""
-    problem = assemble_klcc_lp(train, spec, lam, sigma)
+    problem, center_neg, center_pos = _klcc_program(train, spec, lam, sigma)
     solution = solve(problem)
     if solution.status == "infeasible":
         raise TrainingError(
@@ -151,9 +159,8 @@ def train_klcc(train: Dataset, spec: KernelSpec,
     m = train.m
     alphas = solution.x[:m]
     epsilons = solution.x[m:]
-    K = gram(spec, train.features)
-    c_neg_hat = float(K[train.labels == -1].mean(axis=0) @ alphas)
-    c_pos_hat = float(K[train.labels == 1].mean(axis=0) @ alphas)
+    c_neg_hat = float(center_neg @ alphas)
+    c_pos_hat = float(center_pos @ alphas)
     l_hat = (c_neg_hat + c_pos_hat) / 2.0
     return KernelLccModel(spec.kind, spec.rbf_width, alphas, train.features,
                           c_neg_hat, c_pos_hat, l_hat, float(lam),

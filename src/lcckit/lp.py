@@ -7,10 +7,26 @@
 The solver is a two-phase revised simplex that keeps nonbasic variables
 parked at one of their finite bounds, which is the natural form for the
 classifier programs built on top of it (every variable there carries a box
-or a one-sided bound).  Phase 1 prices out artificial variables; phase 2
-optimizes the real objective.  Pivot selection is Dantzig's rule with a
-permanent switch to Bland's rule once the objective stalls, so the solver
-terminates on degenerate programs.
+or a one-sided bound).
+
+The starting basis is a crash basis (Bixby, "Implementing the simplex
+method: the initial basis", ORSA J. Computing 4(3), 1992).  Each boxed
+variable starts at the bound its cost favours, upper for a negative cost.
+Each row then takes its slack into the basis when the slack can absorb the
+row's residual; otherwise the lowest-index column whose only nonzero is in
+that row, when that column can absorb the residual within its bounds;
+otherwise an artificial variable.  Phase 1 prices out only those
+artificials, and is skipped when there are none; phase 2 optimizes the
+real objective.  In the centralization programs every slack eps_i is such
+a column, and the cost-favoured start minimizes the center-gap row, so a
+feasible program starts in phase 2 and an infeasible one is reported
+after no pivot.
+
+Pivot selection is Dantzig's rule with a permanent switch to Bland's rule
+once the objective stalls, so the solver terminates on degenerate
+programs.  The answer is checked before it is returned: after the final
+refactorization, row residuals and bound violations must lie within the
+feasibility tolerance, or solve raises CyclingError.
 
 Everything is deterministic: identical problems produce bit-identical
 solutions.
@@ -35,7 +51,8 @@ _BASIC = 3
 
 
 class CyclingError(RuntimeError):
-    """Iteration cap exhausted without reaching optimality."""
+    """No verified optimum: the iteration cap ran out, or the final basis
+    failed its feasibility check."""
 
 
 class LpFormatError(ValueError):
@@ -148,13 +165,16 @@ class _Tableau:
         self.binv = np.eye(self.r)
         self.pivots_since_factor = 0
 
-    def set_nonbasic_at_bound(self, j: int) -> None:
-        if np.isfinite(self.lower[j]):
-            self.status[j] = _AT_LOWER
-            self.x[j] = self.lower[j]
-        elif np.isfinite(self.upper[j]):
+    def set_nonbasic_at_bound(self, j: int, cost: float) -> None:
+        """Park j at the finite bound its cost favours: the upper one
+        when the cost is negative or the lower one is infinite."""
+        if np.isfinite(self.upper[j]) and (cost < 0 or
+                                           not np.isfinite(self.lower[j])):
             self.status[j] = _AT_UPPER
             self.x[j] = self.upper[j]
+        elif np.isfinite(self.lower[j]):
+            self.status[j] = _AT_LOWER
+            self.x[j] = self.lower[j]
         else:
             self.status[j] = _FREE
             self.x[j] = 0.0
@@ -180,7 +200,9 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
     CyclingError if the cap is exhausted.
     """
     iteration = start_iter
-    best_objective = np.inf
+    # stalls count from the objective at entry; an infinite start would
+    # make the tolerance below NaN and every pivot look like a stall
+    best_objective = float(c @ tab.x)
     stalled = 0
     use_bland = False
     movable = tab.upper - tab.lower > 0  # fixed variables never enter
@@ -285,14 +307,18 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
 def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Minimize the problem, reporting optimal/infeasible/unbounded by status.
 
-    max_iterations defaults to 10 * (rows + vars) * 100.  Exhausting it
-    raises CyclingError rather than returning a wrong answer.
+    max_iterations defaults to 10 * (rows + vars) * 100.  Exhausting it,
+    or a final answer outside the rows or bounds by more than the
+    feasibility tolerance, raises CyclingError rather than returning a
+    wrong answer.
     """
     r = problem.num_rows
     d = problem.num_vars
     if max_iterations is None:
         max_iterations = 10 * (r + d) * 100
     stall_limit = 3 * (r + d)
+    tolerance = FEASIBILITY_TOLERANCE * (
+        1.0 + np.abs(problem.b).max(initial=0.0))
 
     # equality form: one slack per row; "<=" slack in [0, inf),
     # ">=" slack in (-inf, 0]
@@ -307,11 +333,14 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
 
     tab = _Tableau(cols.copy(), problem.b.copy(), lower, upper)
     for j in range(d):
-        tab.set_nonbasic_at_bound(j)
+        tab.set_nonbasic_at_bound(j, problem.c[j])
 
-    # choose initial basic values for the slacks; rows whose slack cannot
-    # absorb the residual get an artificial variable
+    # crash basis: each row's slack if it can absorb the residual, else the
+    # lowest-index structural column that appears in that row alone and can
+    # absorb it within its bounds, else an artificial variable
     residual = problem.b - problem.A @ tab.x[:d] if r else np.zeros(0)
+    nonzero = problem.A != 0.0
+    singleton = nonzero.sum(axis=0) == 1
     art_rows = []
     art_signs = []
     for i in range(r):
@@ -321,10 +350,18 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
             tab.status[j] = _BASIC
             tab.x[j] = residual[i]
             tab.basis[i] = j
+            continue
+        clamped = min(max(residual[i], slack_lower[i]), slack_upper[i])
+        tab.status[j] = _AT_LOWER if clamped == slack_lower[i] else _AT_UPPER
+        tab.x[j] = clamped
+        for k in np.nonzero(nonzero[i] & singleton)[0]:
+            value = tab.x[k] + (residual[i] - clamped) / problem.A[i, k]
+            if lower[k] <= value <= upper[k]:
+                tab.status[k] = _BASIC
+                tab.x[k] = value
+                tab.basis[i] = k
+                break
         else:
-            clamped = min(max(residual[i], slack_lower[i]), slack_upper[i])
-            tab.status[j] = _AT_LOWER if clamped == slack_lower[i] else _AT_UPPER
-            tab.x[j] = clamped
             art_rows.append(i)
             art_signs.append(1.0 if residual[i] - clamped > 0 else -1.0)
 
@@ -353,7 +390,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
             tab, phase1_c, 0, max_iterations, stall_limit,
             allow_unbounded=False)
         infeasibility = float(tab.x[d + r:].sum())
-        if infeasibility > FEASIBILITY_TOLERANCE * (1.0 + np.abs(problem.b).max(initial=0.0)):
+        if infeasibility > tolerance:
             return LpSolution("infeasible", None, None, iterations)
         # pin artificials to zero for phase 2; basic ones may linger at 0
         tab.lower[d + r:] = 0.0
@@ -379,5 +416,15 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     near_upper = np.abs(x - problem.upper) <= 1e-9
     x[near_lower] = problem.lower[near_lower]
     x[near_upper] = problem.upper[near_upper]
+    slack = problem.b - problem.A @ x
+    row_excess = np.maximum(slack_lower - slack, slack - slack_upper)
+    bound_excess = np.maximum(problem.lower - x, x - problem.upper)
+    worst_row = float(row_excess.max(initial=0.0))
+    worst_bound = float(bound_excess.max(initial=0.0))
+    if max(worst_row, worst_bound) > tolerance:
+        raise CyclingError(
+            f"the final basis fails its feasibility check: row excess "
+            f"{worst_row:.3g}, bound excess {worst_bound:.3g}, tolerance "
+            f"{tolerance:.3g}")
     objective = float(problem.c @ x)
     return LpSolution("optimal", x, objective, iterations)

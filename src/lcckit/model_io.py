@@ -122,6 +122,8 @@ def _parse(tokens: list, key: str, codec: str):
                           dtype=np.int64 if ints else np.float64)
     except (ValueError, OverflowError) as exc:
         raise ModelIoError(f"bad {codec} field {key!r}: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise ModelIoError(f"bad {codec} field {key!r}: non-finite value")
     return values if codec.endswith("s") else values[0].item()
 
 

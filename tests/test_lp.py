@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from lcckit import lp
+from lcckit.data import (apply_normalizer, fit_normalizer, gen_gaussian_pair,
+                         gen_shape)
+from lcckit.evaluation import stratified_kfold
+from lcckit.kernel import KernelSpec, assemble_klcc_lp, median_pairwise_distance
+from lcckit.lcc import assemble_lcc_lp
 from lcckit.lp import (CyclingError, LpFormatError, LpProblem, LpSolution,
                        format_problem, solve)
 from tests.helpers import lp_brute_force, random_box_lp
@@ -185,3 +191,104 @@ def test_bounds_respected_tightly():
         lo, hi = raw[4], raw[5]
         assert np.all(sol.x >= lo - 1e-9)
         assert np.all(sol.x <= hi + 1e-9)
+
+
+def test_failed_final_check_raises_cycling(monkeypatch):
+    # a right-hand side that drifts after phase 2 moves the basic x0 off
+    # the row; the answer must be refused, not reported optimal
+    real_phase = lp._simplex_phase
+
+    def drifting_phase(tab, *args, **kwargs):
+        result = real_phase(tab, *args, **kwargs)
+        tab.b = tab.b + 1.0
+        return result
+
+    monkeypatch.setattr(lp, "_simplex_phase", drifting_phase)
+    problem = make([-1.0, -1.0], [[1.0, 1.0]], ("<=",), [1.0],
+                   [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(CyclingError, match="feasibility check"):
+        solve(problem)
+
+
+def test_column_singleton_replaces_artificial():
+    # from the cost-favoured start (x, eps) = (1, -0.5) row 0 needs
+    # eps = 1, and eps is the one column of row 0 that no other row uses:
+    # it enters the starting basis, so phase 2 starts at once and stops
+    problem = make([-1.0, 1.0], [[1.0, -1.0], [1.0, 0.0]], ("<=", "<="),
+                   [0.0, 2.0], [-1.0, -0.5], [1.0, np.inf])
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert sol.iterations == 0
+    assert sol.x.tolist() == [1.0, 1.0]
+
+
+# (kind, sigma): status and iteration bound on the jain_like:m=200 folds
+# below, each fold 160 instance rows plus the center-gap row.  Feasible
+# bounds are about twice the largest count over the two folds.
+CENTRALIZATION_CASES = {
+    ("lcc", -2.0 ** -7): ("optimal", 70),
+    ("lcc", -0.5): ("optimal", 40),
+    ("lcc", -8.0): ("infeasible", 0),
+    ("klcc", -2.0 ** -7): ("optimal", 1300),
+    ("klcc", -8.0): ("optimal", 360),
+    ("klcc", -128.0): ("infeasible", 0),
+}
+
+
+def centralization_programs():
+    """The lcc and klcc programs of two jain_like:m=200 folds, trained on
+    z-scored rows as procedure 2 does, over CENTRALIZATION_CASES."""
+    data = gen_shape("jain_like", 200, 0.1, 0)
+    for held in stratified_kfold(data, 5, 0)[:2]:
+        train = data.take(np.delete(np.arange(data.m), held))
+        train = apply_normalizer(fit_normalizer(train), train)
+        spec = KernelSpec("rbf", median_pairwise_distance(train.features))
+        for kind, sigma in CENTRALIZATION_CASES:
+            if kind == "lcc":
+                yield kind, sigma, assemble_lcc_lp(train, 2.0, sigma)
+            else:
+                yield kind, sigma, assemble_klcc_lp(train, spec, 2.0, sigma)
+
+
+def highs(problem):
+    """(status, objective) from scipy's HiGHS on the same program."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    flip = np.array([-1.0 if rel == ">=" else 1.0
+                     for rel in problem.relations])
+    bounds = [(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+              for lo, hi in zip(problem.lower, problem.upper)]
+    result = linprog(problem.c, A_ub=flip[:, None] * problem.A,
+                     b_ub=flip * problem.b, bounds=bounds, method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[result.status]
+    return status, result.fun if status == "optimal" else None
+
+
+def test_centralization_programs_match_highs_within_iteration_bounds():
+    pytest.importorskip("scipy.optimize")
+    for kind, sigma, problem in centralization_programs():
+        expected, bound = CENTRALIZATION_CASES[kind, sigma]
+        sol = solve(problem)
+        status, objective = highs(problem)
+        where = f"{kind} sigma={sigma}"
+        assert sol.status == status == expected, where
+        assert sol.iterations <= bound, where
+        if status == "optimal":
+            assert sol.objective_value == pytest.approx(
+                objective, rel=1e-9, abs=1e-9), where
+            assert residuals_ok(problem, sol.x), where
+
+
+def test_long_improving_run_keeps_dantzig_pricing():
+    # a klcc program that needs thousands of improving pivots: 4,959 with
+    # Dantzig pricing throughout; a switch to Bland's rule after 3(r+d)
+    # pivots whatever the progress took 55k-77k
+    unit = [[1.0, 0.0], [0.0, 1.0]]
+    data = gen_gaussian_pair([0.0, 0.0], unit, [1.0, 0.0], unit, 100, 0)
+    data = apply_normalizer(fit_normalizer(data), data)
+    problem = assemble_klcc_lp(data, KernelSpec("rbf", 1.0), 2.0, -0.01)
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert sol.iterations <= 10_000
+    status, objective = highs(problem)
+    assert status == "optimal"
+    assert sol.objective_value == pytest.approx(objective, rel=1e-9, abs=1e-9)

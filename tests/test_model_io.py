@@ -206,6 +206,9 @@ def test_load_rejects_unknown_kind(tmp_path):
     ("beta", "0x1p+0", "feature"),
     ("kept_columns", "0 1 x", "bad ints field"),
     ("original_n", None, "kept_columns need original_n"),
+    ("beta", "nan 0x1p+0", "non-finite"),
+    ("l_hat", "inf", "non-finite"),
+    ("epsilons", "-inf", "non-finite"),
 ])
 def test_load_rejects_malformed_field(tmp_path, key, value, match):
     path = write_good_file(tmp_path)
