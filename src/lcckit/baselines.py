@@ -143,19 +143,14 @@ def _polish(train: Dataset, lam: float, w: np.ndarray,
         quad = lam * float(w @ w)
         if quad <= 0.0:
             break
-        scale_c, _ = _sweep_min(quad, 1.0 - labels * r, -labels * proj, m)
+        scale_c, _, _ = _sweep_min(quad, 1.0 - labels * r, -labels * proj, m)
         w = w * scale_c
         proj = proj * scale_c
-        r, _ = _sweep_min(0.0, 1.0 - labels * proj, -labels, m)
+        r, _, _ = _sweep_min(0.0, 1.0 - labels * proj, -labels, m)
     # the hinge sum is flat in r over an interval at the optimum; take its
     # midpoint so separable data gets a boundary clear of the instances
-    proj = train.features @ w
-    breaks = labels - proj
-    values = np.maximum(1.0 - labels * (proj[None, :] + breaks[:, None]),
-                        0.0).mean(axis=1)
-    floor = values.min()
-    flat = breaks[values <= floor + 1e-12 * (1.0 + abs(floor))]
-    return w, float((flat.min() + flat.max()) / 2.0)
+    return w, _sweep_min(0.0, 1.0 - labels * (train.features @ w), -labels,
+                         m)[2]
 
 
 def train_linear_svm(train: Dataset, lam: float = DEFAULT_SVM_LAMBDA,

@@ -13,6 +13,14 @@ margin-equality lines y_i (w v_i + r) = 1, or is a smooth stationary point
 whose active set must be balanced between the classes.  Both candidate
 families are cheap to enumerate in one dimension: sweep each line exactly,
 and derive the stationary w of every balanced prefix/suffix active set.
+J(w*, .) can be flat over an interval of r; the intercept is its midpoint.
+
+Each sweep minimizes quad*t^2 + sum_j max(0, a_j + b_j t) / scale in one
+pass of array operations: sort the breakpoints, take the active hinges'
+running sums with one cumsum read at the ends of the tie groups, evaluate
+every breakpoint and in-segment stationary point, and keep the leftmost
+minimum.  With quad == 0 the same pass returns the midpoint of the flat
+minimum, which the linear SVM baseline's intercept step also uses.
 """
 
 from __future__ import annotations
@@ -61,67 +69,65 @@ class Discriminator:
         if self.kind == "one_nn" and (
                 self.values is None or self.labels is None
                 or self.values.shape != self.labels.shape
+                or np.any(np.diff(self.values) < 0)
                 or set(self.labels.tolist()) != {-1, 1}):
-            raise DiscriminatorError("one_nn needs one label per value, "
-                                     "and both labels -1 and +1")
+            raise DiscriminatorError("one_nn needs ascending values, one "
+                                     "label per value, and both labels "
+                                     "-1 and +1")
+
+
+def _tie_groups(sorted_values: np.ndarray) -> np.ndarray:
+    """End index (exclusive) of each run of equal values."""
+    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1],
+                                    True)) + 1
 
 
 def _sweep_min(quad: float, a: np.ndarray, b: np.ndarray,
-               scale: float) -> tuple[float, float]:
+               scale: float) -> tuple[float, float, float]:
     """Exact minimum of f(t) = quad*t^2 + sum_j max(0, a_j + b_j t) / scale.
 
-    With quad == 0 the function is piecewise linear and the caller must
-    guarantee it grows in both directions (true whenever both hinge slopes
-    signs occur).  Returns (argmin, min value).
+    The breakpoints -a_j/b_j are sorted once; the active hinges' sums of
+    a and b on every segment are one cumsum read at the tie-group ends.
+    f is evaluated at each distinct breakpoint (with the sums of the
+    segment to its left) and, when quad > 0, at each segment's
+    stationary point that lies inside it; of equal minima the leftmost
+    wins.  With quad == 0 the function is piecewise linear and the
+    caller must guarantee it grows in both directions (true whenever
+    both hinge slope signs occur); its minimum can then be flat over an
+    interval, spanned by the breakpoints within 1e-12 (relative) of the
+    minimum.  Returns (argmin, min value, midpoint of that interval).
     """
     const = float(a[(b == 0.0) & (a > 0.0)].sum())
-    mask = b != 0.0
-    a_m = a[mask]
-    b_m = b[mask]
-    if a_m.size == 0:
-        return 0.0, const / scale
-    breaks = -a_m / b_m
+    a = a[b != 0.0]
+    b = b[b != 0.0]
+    if a.size == 0:
+        return 0.0, const / scale, 0.0
+    breaks = -a / b
     order = np.argsort(breaks, kind="stable")
-    ts = breaks[order]
-    aa = a_m[order]
-    bb = b_m[order]
-    starts_active = bb < 0.0
-    running_a = float(aa[starts_active].sum()) + const
-    running_b = float(bb[starts_active].sum())
-
-    best_t = None
-    best_v = np.inf
-
-    def consider(t: float, seg_a: float, seg_b: float) -> None:
-        nonlocal best_t, best_v
-        v = quad * t * t + (seg_a + seg_b * t) / scale
-        if best_t is None or v < best_v:
-            best_t, best_v = t, v
-
-    prev = -np.inf
-    i = 0
-    count = ts.size
-    while True:
-        right = ts[i] if i < count else np.inf
-        if quad > 0.0:
-            t_star = -running_b / (2.0 * quad * scale)
-            if prev < t_star < right:
-                consider(t_star, running_a, running_b)
-        if i >= count:
-            break
-        consider(float(ts[i]), running_a, running_b)
-        j = i
-        while j < count and ts[j] == ts[i]:
-            if bb[j] > 0.0:
-                running_a += aa[j]
-                running_b += bb[j]
-            else:
-                running_a -= aa[j]
-                running_b -= bb[j]
-            j += 1
-        prev = float(ts[i])
-        i = j
-    return float(best_t), float(best_v)
+    ts, aa, bb = breaks[order], a[order], b[order]
+    rising = bb > 0.0
+    seg = np.concatenate([[0], _tie_groups(ts)])
+    seg_a = np.cumsum(np.concatenate([[float(aa[~rising].sum()) + const],
+                                      np.where(rising, aa, -aa)]))[seg]
+    seg_b = np.cumsum(np.concatenate([[float(bb[~rising].sum())],
+                                      np.abs(bb)]))[seg]
+    # candidate 2k is segment k's stationary point, 2k + 1 its right end
+    t = np.zeros(2 * seg.size - 1)
+    t[1::2] = ts[seg[:-1]]
+    keep = np.zeros(t.size, dtype=bool)
+    keep[1::2] = True
+    if quad > 0.0:
+        t[0::2] = -seg_b / (2.0 * quad * scale)
+        keep[0::2] = ((np.append(-np.inf, t[1::2]) < t[0::2])
+                      & (t[0::2] < np.append(t[1::2], np.inf)))
+    k = np.arange(t.size)[keep] // 2
+    t = t[keep]
+    v = quad * t * t + (seg_a[k] + seg_b[k] * t) / scale
+    best = int(np.argmin(v))
+    flat = t[v <= v[best] + 1e-12 * (1.0 + abs(v[best]))]
+    # a breakpoint -0/b can be -0.0; adding 0.0 reports that zero as 0.0
+    mid = (flat[0] + flat[-1]) / 2.0 + 0.0
+    return float(t[best]), float(v[best]), float(mid)
 
 
 def svm_1d_objective(values, labels, lam: float, w: float, r: float) -> float:
@@ -150,50 +156,33 @@ def solve_svm_1d(values, labels, lam: float = 1.0) -> tuple[float, float]:
         majority = 1.0 if np.sum(labels == 1) >= np.sum(labels == -1) else -1.0
         return 0.0, majority
 
-    best_v = np.inf
-    best_w = 0.0
-    best_r = 0.0
-
-    def consider(value: float, w: float, r: float) -> None:
-        nonlocal best_v, best_w, best_r
-        if value < best_v:
-            best_v, best_w, best_r = value, w, r
-
-    # candidates with some instance exactly at margin: sweep each line
-    # y_i (w v_i + r) = 1, on which r = y_i - w v_i
+    # candidates with some instance exactly at margin: on the line
+    # y_i (w v_i + r) = 1, r = y_i - w v_i; sweep each line exactly
+    ws, objs = [], []
     for i in range(m):
-        a = 1.0 - labels * labels[i]
-        b = labels * (values[i] - values)
-        w_i, v_i = _sweep_min(lam, a, b, float(m))
-        consider(v_i, w_i, float(labels[i] - w_i * values[i]))
+        w_i, obj, _ = _sweep_min(lam, 1.0 - labels * labels[i],
+                                 labels * (values[i] - values), float(m))
+        ws.append(w_i)
+        objs.append(obj)
 
     # smooth stationary candidates: balanced active sets; for w > 0 the
     # active instances are the k smallest positives and k largest negatives
     pos = np.sort(values[labels == 1])
     neg = np.sort(values[labels == -1])
-    kmax = min(pos.size, neg.size)
-    candidates = [0.0]
-    if kmax:
-        low_pos = np.cumsum(pos[:kmax])
-        high_pos = np.cumsum(pos[::-1][:kmax])
-        low_neg = np.cumsum(neg[:kmax])
-        high_neg = np.cumsum(neg[::-1][:kmax])
-        candidates.extend((low_pos - high_neg) / (2.0 * lam * m))
-        candidates.extend((high_pos - low_neg) / (2.0 * lam * m))
-    for w in candidates:
-        w = float(w)
-        r_w, hinge = _sweep_min(0.0, 1.0 - labels * (w * values),
-                                -labels, float(m))
-        consider(lam * w * w + hinge, w, r_w)
+    k = min(pos.size, neg.size)
+    sums = np.concatenate([[0.0],
+                           np.cumsum(pos[:k]) - np.cumsum(neg[::-1][:k]),
+                           np.cumsum(pos[::-1][:k]) - np.cumsum(neg[:k])])
+    for w in sums / (2.0 * lam * m):
+        ws.append(float(w))
+        objs.append(lam * w * w + _sweep_min(0.0, 1.0 - labels * (w * values),
+                                             -labels, float(m))[1])
+    best_w = ws[int(np.argmin(objs))]
 
     # the w^2 term makes the optimal w unique, but J(w*, .) can be flat
     # over an interval of r; settle on that interval's midpoint
-    breaks = labels - best_w * values
-    objs = np.array([svm_1d_objective(values, labels, lam, best_w, r)
-                     for r in breaks])
-    floor = objs.min()
-    flat = breaks[objs <= floor + 1e-12 * (1.0 + abs(floor))]
-    return best_w, float((flat.min() + flat.max()) / 2.0)
+    return best_w, _sweep_min(0.0, 1.0 - labels * (best_w * values),
+                              -labels, float(m))[2]
 
 
 def fit_discriminator(kind: str, values, labels, model: LccModel,
@@ -240,6 +229,28 @@ def _check_query(value) -> np.ndarray:
     return arr
 
 
+def _nearest(values: np.ndarray,
+             q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and distance of the sorted stored value nearest each query,
+    as argmin and min over |q - values| give them: a tie goes to the
+    lower index."""
+    right = np.searchsorted(values, q)          # first value >= q
+    left = np.maximum(right - 1, 0)
+    gap_left = np.where(right > 0, np.abs(q - values[left]), np.inf)
+    gap_right = np.where(right < values.size, np.abs(
+        q - values[np.minimum(right, values.size - 1)]), np.inf)
+    near = np.where(gap_left <= gap_right, left, right)
+    gap = np.minimum(gap_left, gap_right)
+    # step down over lower values at the same distance: duplicates, and
+    # distinct values whose differences round to the same float
+    while True:
+        below = np.maximum(near - 1, 0)
+        tied = (near > 0) & (np.abs(q - values[below]) == gap)
+        if not tied.any():
+            return near, gap
+        near = np.where(tied, np.searchsorted(values, values[below]), near)
+
+
 def discriminate(d: Discriminator, value) -> int | np.ndarray:
     """Assign -1 or +1 to a projected value (or an array of them)."""
     if d.kind != "one_nn":
@@ -247,10 +258,7 @@ def discriminate(d: Discriminator, value) -> int | np.ndarray:
         out = np.where(discriminator_score(d, value) < 0, -1, 1)
         return int(out) if out.ndim == 0 else out
     arr = _check_query(value)
-    flat = np.atleast_1d(arr)
-    # argmin returns the first minimum, i.e. the lower stored index
-    out = d.labels[np.argmin(np.abs(flat[:, None] - d.values[None, :]),
-                             axis=1)]
+    out = d.labels[_nearest(d.values, np.atleast_1d(arr))[0]]
     return int(out[0]) if arr.ndim == 0 else out
 
 
@@ -262,10 +270,8 @@ def discriminator_score(d: Discriminator, value) -> float | np.ndarray:
     if d.kind == "dist":
         out = flat - d.threshold
     elif d.kind == "one_nn":
-        gaps = np.abs(flat[:, None] - d.values[None, :])
-        to_neg = np.min(gaps[:, d.labels == -1], axis=1)
-        to_pos = np.min(gaps[:, d.labels == 1], axis=1)
-        out = to_neg - to_pos
+        out = (_nearest(d.values[d.labels == -1], flat)[1]
+               - _nearest(d.values[d.labels == 1], flat)[1])
     else:
         out = d.weight * (d.scale * flat) + d.intercept
     return float(out[0]) if scalar else out

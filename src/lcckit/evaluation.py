@@ -35,6 +35,7 @@ from .discriminators import (
     DEFAULT_H,
     KINDS,
     Discriminator,
+    _tie_groups,
     discriminate,
     discriminator_score,
     fit_discriminator,
@@ -133,12 +134,6 @@ class RocResult:
         if not 0.0 <= self.auc <= 1.0:
             raise EvalError(f"auc {self.auc} outside [0, 1]")
         object.__setattr__(self, "curve", _frozen(self.curve, np.float64))
-
-
-def _tie_groups(sorted_values: np.ndarray) -> np.ndarray:
-    """End index (exclusive) of each run of equal values."""
-    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1],
-                                    True)) + 1
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

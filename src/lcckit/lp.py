@@ -331,7 +331,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     lower = np.concatenate([problem.lower, slack_lower])
     upper = np.concatenate([problem.upper, slack_upper])
 
-    tab = _Tableau(cols.copy(), problem.b.copy(), lower, upper)
+    tab = _Tableau(cols, problem.b, lower, upper)
     for j in range(d):
         tab.set_nonbasic_at_bound(j, problem.c[j])
 

@@ -2,8 +2,10 @@
 
 Each oracle deliberately takes the dumbest correct route: vertex
 enumeration for linear programs, pairwise counting for AUC, combination
-enumeration for the rank-sum null, and grid refinement for the 1-D SVM.
-None of them share code with the package under test.
+enumeration for the rank-sum null, grid refinement for the 1-D SVM, a
+breakpoint-by-breakpoint loop for the hinge sweep, and a query-by-value
+distance matrix for the nearest stored value.  None of them share code
+with the package under test.
 """
 
 from __future__ import annotations
@@ -159,3 +161,74 @@ def svm_1d_grid_oracle(values, labels, lam, stages=4, grid=201):
         w_lo, w_hi = best[1] - 2 * w_step, best[1] + 2 * w_step
         r_lo, r_hi = best[2] - 2 * r_step, best[2] + 2 * r_step
     return best[0]
+
+
+def sweep_min_loop(quad, a, b, scale):
+    """Minimum of f(t) = quad*t^2 + sum_j max(0, a_j + b_j t) / scale by
+    walking the sorted breakpoints one at a time.
+
+    Candidates in increasing t: each segment's stationary point (when
+    quad > 0 and it lies inside the segment), then the breakpoint that
+    closes the segment, evaluated with the segment's running sums.  The
+    first strict minimum wins.  Returns (argmin, min value).
+    """
+    const = float(a[(b == 0.0) & (a > 0.0)].sum())
+    mask = b != 0.0
+    a_m = a[mask]
+    b_m = b[mask]
+    if a_m.size == 0:
+        return 0.0, const / scale
+    breaks = -a_m / b_m
+    order = np.argsort(breaks, kind="stable")
+    ts = breaks[order]
+    aa = a_m[order]
+    bb = b_m[order]
+    starts_active = bb < 0.0
+    running_a = float(aa[starts_active].sum()) + const
+    running_b = float(bb[starts_active].sum())
+
+    best_t = None
+    best_v = np.inf
+
+    def consider(t, seg_a, seg_b):
+        nonlocal best_t, best_v
+        v = quad * t * t + (seg_a + seg_b * t) / scale
+        if best_t is None or v < best_v:
+            best_t, best_v = t, v
+
+    prev = -np.inf
+    i = 0
+    count = ts.size
+    while True:
+        right = ts[i] if i < count else np.inf
+        if quad > 0.0:
+            t_star = -running_b / (2.0 * quad * scale)
+            if prev < t_star < right:
+                consider(t_star, running_a, running_b)
+        if i >= count:
+            break
+        consider(float(ts[i]), running_a, running_b)
+        j = i
+        while j < count and ts[j] == ts[i]:
+            if bb[j] > 0.0:
+                running_a += aa[j]
+                running_b += bb[j]
+            else:
+                running_a -= aa[j]
+                running_b -= bb[j]
+            j += 1
+        prev = float(ts[i])
+        i = j
+    return float(best_t), float(best_v)
+
+
+def one_nn_broadcast(values, labels, queries):
+    """Label of the nearest stored value (the first one on a tie) and the
+    score min|q - v| over class -1 minus the same over class +1, from the
+    full query-by-value distance matrix."""
+    gaps = np.abs(np.asarray(queries, dtype=float)[:, None]
+                  - np.asarray(values, dtype=float)[None, :])
+    labels = np.asarray(labels)
+    return (labels[np.argmin(gaps, axis=1)],
+            np.min(gaps[:, labels == -1], axis=1)
+            - np.min(gaps[:, labels == 1], axis=1))

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lcckit.baselines import (
+    _polish,
     hinge_objective,
     train_lda,
     train_linear_svm,
@@ -125,6 +128,20 @@ def test_svm_1d_agrees_with_exact_solver():
         w_e, r_e = solve_svm_1d(v, y, lam)
         exact = svm_1d_objective(v, y, lam, w_e, r_e)
         assert ours <= exact * 1.02 + 1e-12
+
+
+def test_polish_memory_is_linear_in_rows():
+    """The flat-intercept step on 5,000 rows: an m x m matrix of hinge
+    values would take 200 MB."""
+    ds = demo_gaussian_pair(m_per_class=2500, seed=3)
+    tracemalloc.start()
+    try:
+        w, r = _polish(ds, 1.0, np.array([1.0, -0.5]), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert np.all(np.isfinite(w)) and np.isfinite(r)
 
 
 def test_svm_validation():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from lcckit.data import Dataset, demo_gaussian_pair
 from lcckit.discriminators import (
     Discriminator,
     DiscriminatorError,
+    _sweep_min,
     discriminate,
     discriminator_score,
     fit_discriminator,
@@ -13,7 +16,7 @@ from lcckit.discriminators import (
 )
 from lcckit.lcc import train_lcc
 
-from tests.helpers import svm_1d_grid_oracle
+from tests.helpers import one_nn_broadcast, svm_1d_grid_oracle, sweep_min_loop
 
 
 def projected_demo(seed, m_per_class=30):
@@ -84,6 +87,28 @@ def test_svm_input_validation():
         solve_svm_1d(np.array([1.0, 2.0]), np.array([1, -1]), lam=0.0)
 
 
+def test_sweep_matches_breakpoint_loop_bit_for_bit():
+    """The sort-and-cumsum sweep returns the loop's (argmin, min) to the
+    bit on tie-heavy hinge sums, piecewise linear and quadratic."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 2500:
+        m = int(rng.integers(0, 30))
+        digits = int(rng.integers(0, 2))
+        a = np.round(rng.normal(0.0, 2.0, m), digits)
+        b = np.round(rng.normal(0.0, 2.0, m), digits)
+        if rng.random() < 0.3:
+            b = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        quad = 0.0 if rng.random() < 0.4 else float(rng.uniform(0.01, 3.0))
+        if quad == 0.0 and not (np.any(b > 0) and np.any(b < 0)):
+            continue
+        scale = float(rng.choice([1.0, float(max(m, 1)), 3.7]))
+        expected = [x.hex() for x in sweep_min_loop(quad, a, b, scale)]
+        got = [float(x).hex() for x in _sweep_min(quad, a, b, scale)[:2]]
+        assert got == expected, (quad, a.tolist(), b.tolist(), scale)
+        checked += 1
+
+
 # ------------------------------------------------------------ fitted rules
 
 def test_dist_rule_uses_model_threshold():
@@ -122,6 +147,66 @@ def test_one_nn_tie_takes_lower_stored_index():
     d = fit_discriminator("one_nn", np.array([4.0, 6.0]),
                           np.array([-1, 1]), model)
     assert discriminate(d, 5.0) == -1
+
+
+def test_one_nn_matches_distance_matrix_on_ties():
+    """Labels and scores equal the query-by-value distance matrix's, to
+    the bit, with duplicate values of both labels, queries at stored
+    values and at midpoints, and distinct values at one rounded
+    distance."""
+    rng = np.random.default_rng(12)
+    ds, model, _ = projected_demo(seed=1)
+    for trial in range(600):
+        m = int(rng.integers(2, 30))
+        digits = int(rng.integers(0, 2))
+        values = np.round(rng.normal(0.0, 2.0, m), digits)
+        if trial % 10 == 0:
+            values = values * 1e-17 + 10.0
+        labels = np.where(rng.random(m) < 0.5, -1, 1)
+        labels[:2] = (-1, 1)
+        d = fit_discriminator("one_nn", values, labels, model)
+        queries = np.concatenate([
+            np.round(rng.normal(0.0, 2.5, 40), digits), d.values,
+            (d.values[:-1] + d.values[1:]) / 2.0, [1e20, -1e20, 0.0, -0.0]])
+        want_labels, want_scores = one_nn_broadcast(d.values, d.labels,
+                                                    queries)
+        np.testing.assert_array_equal(discriminate(d, queries), want_labels)
+        assert (discriminator_score(d, queries).tobytes()
+                == want_scores.tobytes())
+
+
+def test_one_nn_rounded_distance_tie_takes_lower_index():
+    # 1 - (0.5 - 2^-60) rounds to 0.5 = 1 - 0.5: the lower index wins
+    d = Discriminator("one_nn", values=np.array([0.5 - 2.0 ** -60, 0.5]),
+                      labels=np.array([-1, 1]))
+    assert discriminate(d, 1.0) == -1
+    d = Discriminator("one_nn", values=np.array([1.0, 1.0, 1.0]),
+                      labels=np.array([1, -1, 1]))
+    assert discriminate(d, 1.0) == 1 and discriminate(d, 0.0) == 1
+
+
+def test_one_nn_needs_ascending_values():
+    with pytest.raises(DiscriminatorError, match="ascending"):
+        Discriminator("one_nn", values=np.array([2.0, 1.0]),
+                      labels=np.array([-1, 1]))
+
+
+def test_one_nn_memory_grows_with_queries_not_queries_times_values():
+    """5,000 queries against 800 stored values: a distance matrix would
+    take 32 MB."""
+    rng = np.random.default_rng(13)
+    ds, model, _ = projected_demo(seed=1)
+    d = fit_discriminator("one_nn", rng.normal(0.0, 1.0, 800),
+                          np.where(rng.random(800) < 0.5, -1, 1), model)
+    queries = rng.normal(0.0, 1.0, 5000)
+    tracemalloc.start()
+    try:
+        discriminate(d, queries)
+        discriminator_score(d, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_one_sv_scale_comes_from_centers():
