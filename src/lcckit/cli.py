@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 
@@ -178,36 +179,64 @@ def cmd_train(args) -> int:
 
 # ---------------------------------------------------------------- predict
 
-def _read_matrix(path: str) -> np.ndarray:
-    """Numeric CSV rows; a non-numeric first line is skipped as a header."""
-    rows: list[list[float]] = []
-    width = None
+# a line made of these characters alone has no cell: separators, quotes
+# and whitespace (the 29 characters str.strip() removes)
+_BLANK = (',"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002'
+          '\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f'
+          '\u205f\u3000')
+
+
+def _numbers(lines) -> np.ndarray | None:
+    """The lines' comma-separated cells as a float matrix, or None if a
+    cell is not a number or the lines differ in width."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        return np.loadtxt(lines, dtype=np.float64, delimiter=",",
+                          quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _cell_lines(fh):
+    """(line number, line) for each line of the file that has a cell."""
+    for line_no, line in enumerate(fh, start=1):
+        if line.strip(_BLANK):
+            yield line_no, line
+
+
+def _read_matrix(path: str) -> np.ndarray:
+    """Numeric CSV rows.  Blank lines are skipped, and so are the lines
+    before the first numeric one, as a header."""
+    try:
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     with fh:
-        for line_no, cells in enumerate(csv.reader(fh), start=1):
-            if not cells or all(c.strip() == "" for c in cells):
+        lines = _cell_lines(fh)
+        for first, first_line in lines:
+            if _numbers([first_line]) is not None:
+                break
+        else:
+            return np.zeros((0, 0))
+        matrix = _numbers(itertools.chain([first_line],
+                                          (line for _, line in lines)))
+        if matrix is not None and np.isfinite(matrix).all():
+            return matrix
+        # name the first line that breaks the rows: a cell that is not a
+        # number, a non-finite value, or a width unlike the first row's
+        width = _numbers([first_line]).shape[1]
+        fh.seek(0)
+        for line_no, line in _cell_lines(fh):
+            if line_no < first:
                 continue
-            try:
-                parsed = [float(c) for c in cells]
-            except ValueError:
-                if width is None and not rows:
-                    continue
-                raise UsageError(
-                    f"line {line_no}: non-numeric cell") from None
-            if not all(np.isfinite(parsed)):
+            row = _numbers([line])
+            if row is None:
+                raise UsageError(f"line {line_no}: non-numeric cell")
+            if not np.isfinite(row).all():
                 raise UsageError(f"line {line_no}: non-finite value")
-            if width is None:
-                width = len(parsed)
-            elif len(parsed) != width:
+            if row.shape[1] != width:
                 raise UsageError(f"line {line_no}: expected {width} cells, "
-                                 f"got {len(parsed)}")
-            rows.append(parsed)
-    if not rows:
-        return np.zeros((0, 0))
-    return np.array(rows, dtype=np.float64)
+                                 f"got {row.shape[1]}")
+    raise UsageError("rows are not comma-separated numbers")
 
 
 def cmd_predict(args) -> int:

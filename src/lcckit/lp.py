@@ -22,11 +22,27 @@ a column, and the cost-favoured start minimizes the center-gap row, so a
 feasible program starts in phase 2 and an infeasible one is reported
 after no pivot.
 
+The basis is held as its singleton columns plus one dense block, the way
+LU factorizations of LP bases treat singletons first (Suhl & Suhl,
+"Computing sparse LU factorizations for large-scale linear programming
+bases", ORSA J. Computing 2(4), 1990).  A basic column with one nonzero
+(a slack, an artificial, or a structural column such as eps_i) covers its
+row; the k rows left over, restricted to the k basic columns with more
+than one nonzero, form a k x k block F.  After each basis change the
+split is rebuilt and only F is inverted, so B^-1 a and B^-T c_B cost
+O(r k + k^2) instead of O(r^2), and no r x r matrix is ever formed.  The
+rebuild costs O(r k + k^3), cheap while k is small, as in the
+centralization programs: at most n for lcc, whose only dense columns are
+the n beta columns, and 21 for klcc on the spiral shape at m=400.  On a
+program whose basis is mostly dense columns it costs more than the rank-1
+update of a full inverse would.
+
 Pivot selection is Dantzig's rule with a permanent switch to Bland's rule
 once the objective stalls, so the solver terminates on degenerate
-programs.  The answer is checked before it is returned: after the final
-refactorization, row residuals and bound violations must lie within the
-feasibility tolerance, or solve raises CyclingError.
+programs.  Basic values are updated along each step and recomputed from
+the factored basis before the answer is read.  The answer is checked
+before it is returned: row residuals and bound violations must lie within
+the feasibility tolerance, or solve raises CyclingError.
 
 Everything is deterministic: identical problems produce bit-identical
 solutions.
@@ -42,12 +58,14 @@ from .data import _frozen
 
 PIVOT_TOLERANCE = 1e-9
 FEASIBILITY_TOLERANCE = 1e-7
-REFACTOR_EVERY = 100
 
 _AT_LOWER = 0
 _AT_UPPER = 1
 _FREE = 2
 _BASIC = 3
+# by status code: may a nonbasic variable move up / down from its value
+_CAN_RISE = np.array([True, False, True, False])
+_CAN_FALL = np.array([False, True, True, False])
 
 
 class CyclingError(RuntimeError):
@@ -149,46 +167,153 @@ def format_problem(problem: LpProblem) -> str:
 
 
 class _Tableau:
-    """Mutable state of the revised simplex on the equality-form problem."""
+    """Mutable state of the revised simplex on the equality-form problem
+    [A | I | artificials] x = b.
 
-    def __init__(self, cols: np.ndarray, b: np.ndarray,
-                 lower: np.ndarray, upper: np.ndarray):
-        self.cols = cols          # (r, total) columns of the equality system
-        self.b = b
-        self.lower = lower
-        self.upper = upper
-        self.r = cols.shape[0]
-        self.total = cols.shape[1]
-        self.status = np.empty(self.total, dtype=np.int8)
-        self.x = np.zeros(self.total)
-        self.basis = np.empty(self.r, dtype=np.int64)
-        self.binv = np.eye(self.r)
-        self.pivots_since_factor = 0
+    A column with one nonzero (a slack, an artificial, or a structural
+    column such as eps_i of the centralization programs) is held as that
+    nonzero's row and value; every other column is a row of `dense`, a
+    contiguous copy of those columns of A.  Dense columns carry the row
+    index r and the value 0, so `y[row]` reads the zero that `btran`
+    appends to y.  The basis is held the same way: its singleton columns
+    cover one row each, and the k rows they leave uncovered, restricted to
+    the k dense basic columns, form the block F, the one part inverted.
+    """
 
-    def set_nonbasic_at_bound(self, j: int, cost: float) -> None:
-        """Park j at the finite bound its cost favours: the upper one
-        when the cost is negative or the lower one is infinite."""
-        if np.isfinite(self.upper[j]) and (cost < 0 or
-                                           not np.isfinite(self.lower[j])):
-            self.status[j] = _AT_UPPER
-            self.x[j] = self.upper[j]
-        elif np.isfinite(self.lower[j]):
-            self.status[j] = _AT_LOWER
-            self.x[j] = self.lower[j]
-        else:
-            self.status[j] = _FREE
-            self.x[j] = 0.0
+    def __init__(self, problem: LpProblem):
+        A = problem.A
+        r, d = A.shape
+        geq = np.array([rel == ">=" for rel in problem.relations], dtype=bool)
+        nonzero = A != 0.0
+        single = np.count_nonzero(nonzero, axis=0) == 1
+        single_cols = np.flatnonzero(single)
+        self.dense_cols = np.flatnonzero(~single)
+        self.dense = np.ascontiguousarray(A[:, self.dense_cols].T)
+        self.row = np.full(d + r, r, dtype=np.int64)
+        self.row[single_cols] = np.nonzero(nonzero[:, single_cols].T)[1]
+        self.row[d:] = np.arange(r)
+        self.value = np.zeros(d + r)
+        self.value[single_cols] = A[self.row[single_cols], single_cols]
+        self.value[d:] = 1.0
+        self.slot = np.zeros(d, dtype=np.int64)  # dense column -> row of dense
+        self.slot[self.dense_cols] = np.arange(self.dense_cols.size)
+        self.b = problem.b
+        # slack bounds: "<=" rows in [0, inf), ">=" rows in (-inf, 0]
+        self.lower = np.concatenate([problem.lower,
+                                     np.where(geq, -np.inf, 0.0)])
+        self.upper = np.concatenate([problem.upper,
+                                     np.where(geq, 0.0, np.inf)])
+        self.r = r
+        self.d = d
+        self._crash(problem)
 
-    def refactor(self) -> None:
-        basis_matrix = self.cols[:, self.basis]
-        self.binv = np.linalg.inv(basis_matrix)
-        self.recompute_basic_values()
-        self.pivots_since_factor = 0
+    def _crash(self, problem: LpProblem) -> None:
+        """Set the starting point and basis.
+
+        Each boxed variable sits at the bound its cost favours: the upper
+        one when the cost is negative or the lower one is infinite.  Row
+        i's slack is basic if it can absorb the row's residual; otherwise
+        the lowest-index structural column whose only nonzero is in row i
+        takes the rest, if that keeps it within its bounds; otherwise a new
+        artificial column, +-e_i, does.
+        """
+        r, d = self.r, self.d
+        c, lower, upper = problem.c, problem.lower, problem.upper
+        at_upper = np.isfinite(upper) & ((c < 0) | ~np.isfinite(lower))
+        at_lower = ~at_upper & np.isfinite(lower)
+        self.status = np.empty(d + r, dtype=np.int8)
+        self.status[:d] = np.where(at_upper, _AT_UPPER,
+                                   np.where(at_lower, _AT_LOWER, _FREE))
+        self.x = np.where(at_upper, upper, np.where(at_lower, lower, 0.0))
+        residual = problem.b - problem.A @ self.x
+
+        slack_lower, slack_upper = self.lower[d:], self.upper[d:]
+        fits = ((slack_lower - FEASIBILITY_TOLERANCE <= residual)
+                & (residual <= slack_upper + FEASIBILITY_TOLERANCE))
+        clamped = np.where(fits, residual,
+                           np.clip(residual, slack_lower, slack_upper))
+        rest = residual - clamped
+        self.x = np.concatenate([self.x, clamped])
+        self.status[d:] = np.where(
+            fits, _BASIC,
+            np.where(clamped == slack_lower, _AT_LOWER, _AT_UPPER))
+        self.basis = np.arange(d, d + r)
+
+        candidates = np.flatnonzero(self.row[:d] < r)
+        rows = self.row[candidates]
+        values = self.x[candidates] + rest[rows] / self.value[candidates]
+        usable = (~fits[rows] & (lower[candidates] <= values)
+                  & (values <= upper[candidates]))
+        candidates, rows, values = (candidates[usable], rows[usable],
+                                    values[usable])
+        taken, first = np.unique(rows, return_index=True)
+        chosen = candidates[first]
+        self.basis[taken] = chosen
+        self.status[chosen] = _BASIC
+        self.x[chosen] = values[first]
+
+        covered = fits.copy()
+        covered[taken] = True
+        art_rows = np.flatnonzero(~covered)
+        n_art = art_rows.size
+        self.basis[art_rows] = d + r + np.arange(n_art)
+        self.row = np.concatenate([self.row, art_rows])
+        self.value = np.concatenate(
+            [self.value, np.where(rest[art_rows] > 0, 1.0, -1.0)])
+        self.lower = np.concatenate([self.lower, np.zeros(n_art)])
+        self.upper = np.concatenate([self.upper, np.full(n_art, np.inf)])
+        self.x = np.concatenate([self.x, np.abs(rest[art_rows])])
+        self.status = np.concatenate(
+            [self.status, np.full(n_art, _BASIC, dtype=np.int8)])
+        self.total = d + r + n_art
+
+    def factor(self) -> None:
+        """Split the basis into its singleton columns and the block F,
+        and invert F."""
+        rows = self.row[self.basis]
+        single = rows < self.r
+        self.pos_s = single.nonzero()[0]
+        self.pos_d = (~single).nonzero()[0]
+        self.rows_s = rows[self.pos_s]
+        self.vals_s = self.value[self.basis[self.pos_s]]
+        uncovered = np.ones(self.r, dtype=bool)
+        uncovered[self.rows_s] = False
+        self.rows_d = uncovered.nonzero()[0]
+        block = self.dense[self.slot[self.basis[self.pos_d]]]
+        self.f_inv = np.linalg.inv(block[:, self.rows_d].T)
+        self.coupling = block[:, self.rows_s]
+
+    def column(self, j: int) -> np.ndarray:
+        if self.row[j] == self.r:
+            return self.dense[self.slot[j]]
+        a = np.zeros(self.r)
+        a[self.row[j]] = self.value[j]
+        return a
+
+    def ftran(self, a: np.ndarray) -> np.ndarray:
+        """B^-1 a, in basis-position order."""
+        alpha = np.empty(self.r)
+        dense_part = self.f_inv @ a[self.rows_d]
+        alpha[self.pos_d] = dense_part
+        alpha[self.pos_s] = ((a[self.rows_s] - dense_part @ self.coupling)
+                             / self.vals_s)
+        return alpha
+
+    def btran(self, c_b: np.ndarray) -> np.ndarray:
+        """y with B^T y = c_b, plus a trailing zero for the dense columns'
+        row index."""
+        y = np.zeros(self.r + 1)
+        y_s = c_b[self.pos_s] / self.vals_s
+        y[self.rows_s] = y_s
+        y[self.rows_d] = (c_b[self.pos_d] - self.coupling @ y_s) @ self.f_inv
+        return y
 
     def recompute_basic_values(self) -> None:
-        nonbasic = self.status != _BASIC
-        rhs = self.b - self.cols[:, nonbasic] @ self.x[nonbasic]
-        self.x[self.basis] = self.binv @ rhs
+        nonbasic = np.where(self.status == _BASIC, 0.0, self.x)
+        lhs = (np.bincount(self.row, self.value * nonbasic,
+                           minlength=self.r + 1)[:self.r]
+               + nonbasic[self.dense_cols] @ self.dense)
+        self.x[self.basis] = self.ftran(self.b - lhs)
 
 
 def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
@@ -212,15 +337,15 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
             raise CyclingError(
                 f"no optimum after {cap} iterations: cycling suspected")
 
-        c_b = c[tab.basis]
-        y = tab.binv.T @ c_b
-        reduced = c - tab.cols.T @ y
+        y = tab.btran(c[tab.basis])
+        reduced = c - tab.value * y[tab.row]
+        reduced[tab.dense_cols] -= tab.dense @ y[:-1]
 
-        at_lower = (tab.status == _AT_LOWER) | (tab.status == _FREE)
-        at_upper = (tab.status == _AT_UPPER) | (tab.status == _FREE)
-        can_increase = at_lower & movable & (reduced < -PIVOT_TOLERANCE)
-        can_decrease = at_upper & movable & (reduced > PIVOT_TOLERANCE)
-        eligible = np.nonzero(can_increase | can_decrease)[0]
+        can_increase = (_CAN_RISE[tab.status] & movable
+                        & (reduced < -PIVOT_TOLERANCE))
+        can_decrease = (_CAN_FALL[tab.status] & movable
+                        & (reduced > PIVOT_TOLERANCE))
+        eligible = (can_increase | can_decrease).nonzero()[0]
         if eligible.size == 0:
             return "optimal", iteration
 
@@ -228,24 +353,20 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
             entering = int(eligible[0])
         else:
             scores = np.abs(reduced[eligible])
-            entering = int(eligible[int(np.argmax(scores))])
+            entering = int(eligible[scores.argmax()])
         direction = 1.0 if can_increase[entering] else -1.0
 
-        alpha = tab.binv @ tab.cols[:, entering]
+        alpha = tab.ftran(tab.column(entering))
         # basic variable i moves at rate delta[i] per unit step of entering
         delta = -direction * alpha
         basic_values = tab.x[tab.basis]
-        basic_lower = tab.lower[tab.basis]
-        basic_upper = tab.upper[tab.basis]
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up_room = np.where(delta > PIVOT_TOLERANCE,
-                               (basic_upper - basic_values) / delta, np.inf)
-            down_room = np.where(delta < -PIVOT_TOLERANCE,
-                                 (basic_lower - basic_values) / delta, np.inf)
-        ratios = np.minimum(np.nan_to_num(up_room, nan=np.inf, posinf=np.inf),
-                            np.nan_to_num(down_room, nan=np.inf, posinf=np.inf))
-        ratios = np.maximum(ratios, 0.0)  # numerical drift guard
+        # each basic variable runs toward one bound; rates within the
+        # pivot tolerance of zero never block
+        room = np.where(delta > 0, tab.upper[tab.basis],
+                        tab.lower[tab.basis]) - basic_values
+        ratios = np.divide(room, delta, out=np.full(tab.r, np.inf),
+                           where=np.abs(delta) > PIVOT_TOLERANCE)
+        np.maximum(ratios, 0.0, out=ratios)  # numerical drift guard
 
         span = tab.upper[entering] - tab.lower[entering]
         t_own = span if np.isfinite(span) else np.inf
@@ -274,15 +395,15 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
             tab.status[entering] = _AT_UPPER if direction > 0 else _AT_LOWER
             continue
 
-        blocking = np.nonzero(ratios <= t_block + PIVOT_TOLERANCE)[0]
+        blocking = (ratios <= t_block + PIVOT_TOLERANCE).nonzero()[0]
         if use_bland:
             # leave the row whose basic variable has the smallest index
-            leave_pos = int(blocking[int(np.argmin(tab.basis[blocking]))])
+            leave_pos = int(blocking[tab.basis[blocking].argmin()])
         else:
             pivots = np.abs(alpha[blocking])
-            best = np.nonzero(pivots >= pivots.max() - 1e-12)[0]
-            choice = best[int(np.argmin(tab.basis[blocking][best]))]
-            leave_pos = int(blocking[int(choice)])
+            best = (pivots >= pivots.max() - 1e-12).nonzero()[0]
+            choice = best[tab.basis[blocking][best].argmin()]
+            leave_pos = int(blocking[choice])
         leaving = int(tab.basis[leave_pos])
 
         tab.x[tab.basis] = basic_values + delta * step
@@ -292,16 +413,9 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
         tab.x[leaving] = tab.upper[leaving] if hit_upper else tab.lower[leaving]
         tab.status[entering] = _BASIC
         tab.basis[leave_pos] = entering
-
         # every blocking row has |alpha| above PIVOT_TOLERANCE by the ratio
-        # test, so the eta update is always numerically admissible
-        pivot_value = alpha[leave_pos]
-        row = tab.binv[leave_pos] / pivot_value
-        tab.binv -= np.outer(alpha, row)
-        tab.binv[leave_pos] = row
-        tab.pivots_since_factor += 1
-        if tab.pivots_since_factor >= REFACTOR_EVERY:
-            tab.refactor()
+        # test, so the new basis, and with it F, is nonsingular
+        tab.factor()
 
 
 def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
@@ -320,70 +434,12 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     tolerance = FEASIBILITY_TOLERANCE * (
         1.0 + np.abs(problem.b).max(initial=0.0))
 
-    # equality form: one slack per row; "<=" slack in [0, inf),
-    # ">=" slack in (-inf, 0]
-    slack_lower = np.array([0.0 if rel == "<=" else -np.inf
-                            for rel in problem.relations])
-    slack_upper = np.array([np.inf if rel == "<=" else 0.0
-                            for rel in problem.relations])
-
-    cols = np.hstack([problem.A, np.eye(r)]) if r else np.zeros((0, d))
-    lower = np.concatenate([problem.lower, slack_lower])
-    upper = np.concatenate([problem.upper, slack_upper])
-
-    tab = _Tableau(cols, problem.b, lower, upper)
-    for j in range(d):
-        tab.set_nonbasic_at_bound(j, problem.c[j])
-
-    # crash basis: each row's slack if it can absorb the residual, else the
-    # lowest-index structural column that appears in that row alone and can
-    # absorb it within its bounds, else an artificial variable
-    residual = problem.b - problem.A @ tab.x[:d] if r else np.zeros(0)
-    nonzero = problem.A != 0.0
-    singleton = nonzero.sum(axis=0) == 1
-    art_rows = []
-    art_signs = []
-    for i in range(r):
-        j = d + i
-        if slack_lower[i] - FEASIBILITY_TOLERANCE <= residual[i] <= \
-                slack_upper[i] + FEASIBILITY_TOLERANCE:
-            tab.status[j] = _BASIC
-            tab.x[j] = residual[i]
-            tab.basis[i] = j
-            continue
-        clamped = min(max(residual[i], slack_lower[i]), slack_upper[i])
-        tab.status[j] = _AT_LOWER if clamped == slack_lower[i] else _AT_UPPER
-        tab.x[j] = clamped
-        for k in np.nonzero(nonzero[i] & singleton)[0]:
-            value = tab.x[k] + (residual[i] - clamped) / problem.A[i, k]
-            if lower[k] <= value <= upper[k]:
-                tab.status[k] = _BASIC
-                tab.x[k] = value
-                tab.basis[i] = k
-                break
-        else:
-            art_rows.append(i)
-            art_signs.append(1.0 if residual[i] - clamped > 0 else -1.0)
+    tab = _Tableau(problem)
+    tab.factor()
+    tab.recompute_basic_values()
 
     iterations = 0
-    if art_rows:
-        n_art = len(art_rows)
-        art_cols = np.zeros((r, n_art))
-        for k, (i, s) in enumerate(zip(art_rows, art_signs)):
-            art_cols[i, k] = s
-        tab.cols = np.hstack([tab.cols, art_cols])
-        tab.lower = np.concatenate([tab.lower, np.zeros(n_art)])
-        tab.upper = np.concatenate([tab.upper, np.full(n_art, np.inf)])
-        tab.x = np.concatenate([tab.x, np.zeros(n_art)])
-        tab.status = np.concatenate(
-            [tab.status, np.full(n_art, _BASIC, dtype=np.int8)])
-        tab.total = tab.cols.shape[1]
-        for k, i in enumerate(art_rows):
-            tab.basis[i] = d + r + k
-            tab.x[d + r + k] = abs(
-                residual[i] - tab.x[d + i])
-        tab.refactor()
-
+    if tab.total > d + r:  # phase 1 prices out the artificials
         phase1_c = np.zeros(tab.total)
         phase1_c[d + r:] = 1.0
         _, iterations = _simplex_phase(
@@ -399,8 +455,6 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
         art_mask[d + r:] = True
         tab.x[art_mask & (tab.status != _BASIC)] = 0.0
         np.clip(tab.x[d + r:], 0.0, None, out=tab.x[d + r:])
-    else:
-        tab.refactor()
 
     phase2_c = np.zeros(tab.total)
     phase2_c[:d] = problem.c
@@ -410,14 +464,15 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", None, None, iterations)
 
-    tab.refactor()  # one clean solve before extracting the answer
+    tab.recompute_basic_values()  # one clean solve before the answer
     x = tab.x[:d].copy()
     near_lower = np.abs(x - problem.lower) <= 1e-9
     near_upper = np.abs(x - problem.upper) <= 1e-9
     x[near_lower] = problem.lower[near_lower]
     x[near_upper] = problem.upper[near_upper]
     slack = problem.b - problem.A @ x
-    row_excess = np.maximum(slack_lower - slack, slack - slack_upper)
+    row_excess = np.maximum(tab.lower[d:d + r] - slack,
+                            slack - tab.upper[d:d + r])
     bound_excess = np.maximum(problem.lower - x, x - problem.upper)
     worst_row = float(row_excess.max(initial=0.0))
     worst_bound = float(bound_excess.max(initial=0.0))

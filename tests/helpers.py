@@ -3,8 +3,9 @@
 Each oracle deliberately takes the dumbest correct route: vertex
 enumeration for linear programs, pairwise counting for AUC, combination
 enumeration for the rank-sum null, grid refinement for the 1-D SVM, a
-breakpoint-by-breakpoint loop for the hinge sweep, and a query-by-value
-distance matrix for the nearest stored value.  None of them share code
+breakpoint-by-breakpoint loop for the hinge sweep, a query-by-value
+distance matrix for the nearest stored value, and a row-by-row loop for
+the simplex crash basis.  None of them share code
 with the package under test.
 """
 
@@ -76,6 +77,65 @@ def random_box_lp(rng, max_vars=4, max_rows=6):
     lo = rng.uniform(-4.0, 0.0, d)
     hi = lo + rng.uniform(0.5, 6.0, d)
     return c, A, relations, b, lo, hi
+
+
+def crash_loop(c, A, relations, b, lower, upper, tol=1e-7):
+    """The simplex starting point, built one variable and one row at a time.
+
+    Each boxed variable sits at the bound its cost favours (upper for a
+    negative cost or an infinite lower bound).  Row i then takes its slack
+    d+i into the basis if the slack can absorb the row's residual within
+    tol; else the slack is clamped to its bound and the lowest-index column
+    whose only nonzero is in row i takes the rest, if that keeps it within
+    its bounds; else an artificial column d+r+k with sign +-1 does.
+
+    Returns (status, x, basis, art_signs) over the d structural, r slack
+    and the artificial columns, with status codes 0 at lower, 1 at upper,
+    2 free, 3 basic.
+    """
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    r, d = A.shape
+    slack_lower = [0.0 if rel == "<=" else -np.inf for rel in relations]
+    slack_upper = [np.inf if rel == "<=" else 0.0 for rel in relations]
+    lower = list(lower) + slack_lower
+    upper = list(upper) + slack_upper
+    status = [0] * (d + r)
+    x = [0.0] * (d + r)
+    for j in range(d):
+        if np.isfinite(upper[j]) and (c[j] < 0 or not np.isfinite(lower[j])):
+            status[j], x[j] = 1, upper[j]
+        elif np.isfinite(lower[j]):
+            status[j], x[j] = 0, lower[j]
+        else:
+            status[j], x[j] = 2, 0.0
+    residual = b - A @ np.array(x[:d]) if r else np.zeros(0)
+    singleton = (A != 0.0).sum(axis=0) == 1
+    basis = [0] * r
+    art_signs = []
+    for i in range(r):
+        j = d + i
+        if slack_lower[i] - tol <= residual[i] <= slack_upper[i] + tol:
+            status[j], x[j], basis[i] = 3, residual[i], j
+            continue
+        clamped = min(max(residual[i], slack_lower[i]), slack_upper[i])
+        status[j] = 0 if clamped == slack_lower[i] else 1
+        x[j] = clamped
+        for k in range(d):
+            if A[i, k] == 0.0 or not singleton[k]:
+                continue
+            value = x[k] + (residual[i] - clamped) / A[i, k]
+            if lower[k] <= value <= upper[k]:
+                status[k], x[k], basis[i] = 3, value, k
+                break
+        else:
+            basis[i] = d + r + len(art_signs)
+            art_signs.append(1.0 if residual[i] - clamped > 0 else -1.0)
+            status.append(3)
+            x.append(abs(residual[i] - clamped))
+    return (np.array(status, dtype=np.int8), np.array(x),
+            np.array(basis, dtype=np.int64), np.array(art_signs))
 
 
 def auc_brute_force(scores, labels):

@@ -1,9 +1,11 @@
 """End-to-end checks of the command line through main()."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from lcckit.cli import main, parse_gen_spec
+from lcckit.cli import _BLANK, _read_matrix, main, parse_gen_spec
 from lcckit.data import demo_gaussian_pair
 
 
@@ -274,3 +276,98 @@ def test_predict_malformed_model_exits_1(tmp_path, capsys):
     assert main(["predict", "--model", str(path),
                  "--data", str(tmp_path / "q.csv")]) == 1
     assert "lcckit predict: error: bad int field" in capsys.readouterr().err
+
+
+# (file text, expected matrix) for the predict CSV reader: leading
+# non-numeric lines are headers, blank lines (cells all whitespace) are
+# skipped, cells may be quoted and padded, line endings may be \r\n or \r
+READ_CASES = {
+    "header": ("x0,x1\n1,2\n3.5,-4e-3\n", [[1.0, 2.0], [3.5, -4e-3]]),
+    "two headers": ("name,value\nunits,cm\n1,2\n", [[1.0, 2.0]]),
+    "blank lines": ("\n1,2\n\n , \n,\n3,4\n\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "quoted cells": ('"1.5",2\n3,"4e-1"\n" 5 ", 6 \n',
+                     [[1.5, 2.0], [3.0, 0.4], [5.0, 6.0]]),
+    "line endings": ("a,b\r\n1,2\r\n3,4\r5,6", [[1.0, 2.0], [3.0, 4.0],
+                                                [5.0, 6.0]]),
+    "signs and forms": ("0x0,a\n+1,-0,.5,1E2\n-1.,1e-320,2.,7\n",
+                        [[1.0, -0.0, 0.5, 100.0], [-1.0, 1e-320, 2.0, 7.0]]),
+}
+
+
+def test_read_matrix_parses_bit_for_bit(tmp_path):
+    for name, (text, expected) in READ_CASES.items():
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        got = _read_matrix(str(path))
+        want = np.array(expected, dtype=np.float64)
+        assert got.dtype == np.float64, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_blank_characters_are_separators_quotes_and_whitespace():
+    whitespace = {ch for ch in map(chr, range(sys.maxunicode + 1))
+                  if ch.isspace()}
+    assert len(_BLANK) == len(set(_BLANK))
+    assert set(_BLANK) == whitespace | {",", '"'}
+
+
+def test_read_matrix_round_trips_repr_of_random_floats(tmp_path):
+    rng = np.random.default_rng(8)
+    values = np.concatenate([rng.normal(0.0, 1.0, 600),
+                             rng.normal(0.0, 1e-300, 100),
+                             rng.normal(0.0, 1e300, 100),
+                             np.round(rng.normal(0.0, 9.0, 200), 3)])
+    values = values.reshape(-1, 5)
+    lines = [",".join(fmt(float(v)) for v in row)
+             for row, fmt in zip(values, [repr, "{:.17g}".format,
+                                          "{:.6e}".format] * 400)]
+    (tmp_path / "in.csv").write_text("h0,h1,h2,h3,h4\n" + "\n".join(lines))
+    got = _read_matrix(str(tmp_path / "in.csv"))
+    want = np.array([[float(c) for c in ln.split(",")] for ln in lines])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "a,b\n", "a,b\n\nc,d\n \n"])
+def test_read_matrix_without_data_rows_is_empty(tmp_path, text):
+    (tmp_path / "in.csv").write_text(text)
+    got = _read_matrix(str(tmp_path / "in.csv"))
+    assert got.shape == (0, 0) and got.dtype == np.float64
+
+
+# file text -> the error `lcckit predict` reports (exit 1); line numbers
+# count every line, headers and blank lines included
+READ_ERRORS = {
+    "1,2\n3\n": "line 2: expected 2 cells, got 1",
+    "a,b\n\n1,2\n3,4,5\n": "line 4: expected 2 cells, got 3",
+    "1,2\nx,3\n": "line 2: non-numeric cell",
+    "a,b\n1,2\n3,4\nc,d\n": "line 4: non-numeric cell",
+    "1,2\n1,,2\n": "line 2: non-numeric cell",
+    '1,2\n"1,5",2\n': "line 2: non-numeric cell",
+    "1,2\nnan,3\n": "line 2: non-finite value",
+    "h\n1,2\n3,inf\n": "line 3: non-finite value",
+    "1,2\n3,-Infinity\n": "line 2: non-finite value",
+    "1,2\n3,4\n5,nan,6\n7\n": "line 3: non-finite value",
+    "1,2\n5\nnan,1\n": "line 2: expected 2 cells, got 1",
+    "1,2\nx\n3\n": "line 2: non-numeric cell",
+}
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    out = tmp_path_factory.mktemp("model")
+    assert main(["train", "--gen", "gaussian:m_per_class=40",
+                 "--method", "lcc", "--out", str(out)]) == 0
+    return out / "model.txt"
+
+
+@pytest.mark.parametrize("text", list(READ_ERRORS))
+def test_predict_reports_bad_csv_line(tmp_path, capsys, saved_model, text):
+    capsys.readouterr()
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    rc = main(["predict", "--model", str(saved_model), "--data", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lcckit predict: error: {READ_ERRORS[text]}\n"

@@ -11,7 +11,7 @@ from lcckit.kernel import KernelSpec, assemble_klcc_lp, median_pairwise_distance
 from lcckit.lcc import assemble_lcc_lp
 from lcckit.lp import (CyclingError, LpFormatError, LpProblem, LpSolution,
                        format_problem, solve)
-from tests.helpers import lp_brute_force, random_box_lp
+from tests.helpers import crash_loop, lp_brute_force, random_box_lp
 
 
 def make(c, A, relations, b, lower, upper):
@@ -292,3 +292,76 @@ def test_long_improving_run_keeps_dantzig_pricing():
     status, objective = highs(problem)
     assert status == "optimal"
     assert sol.objective_value == pytest.approx(objective, rel=1e-9, abs=1e-9)
+
+
+def crash_start(problem):
+    """(status, x, basis, artificial signs) of the solver's crash basis."""
+    tab = lp._Tableau(problem)
+    return tab.status, tab.x, tab.basis, tab.value[tab.d + tab.r:]
+
+
+def random_crash_lp(rng):
+    """A small program mixing dense, singleton and empty columns, several
+    singletons per row, and boxed, one-sided, free and fixed variables,
+    on a coarse grid so that values land exactly on bounds."""
+    r = int(rng.integers(0, 9))
+    d = int(rng.integers(1, 12))
+    A = np.zeros((r, d))
+    for j in range(d):
+        kind = rng.random()
+        if r and kind < 0.45:
+            A[int(rng.integers(r)), j] = rng.choice([-2.0, -1, 0.5, 1, 3])
+        elif r and kind < 0.9:
+            A[:, j] = rng.integers(-2, 3, r)
+    lower = rng.integers(-3, 1, d).astype(float)
+    upper = lower + rng.integers(0, 4, d)
+    lower[rng.random(d) < 0.2] = -np.inf
+    upper[rng.random(d) < 0.3] = np.inf
+    c = rng.integers(-2, 3, d).astype(float)
+    b = rng.integers(-4, 5, r) * rng.choice([1.0, 1e-8, 0.5], r)
+    relations = tuple(rng.choice(["<=", ">="]) for _ in range(r))
+    return c, A, relations, b, lower, upper
+
+
+def test_crash_basis_matches_row_by_row_loop():
+    rng = np.random.default_rng(5)
+    programs = [make(*random_crash_lp(rng)) for _ in range(1200)]
+    programs += [problem for _, _, problem in centralization_programs()]
+    with_artificials = with_singletons = 0
+    for i, problem in enumerate(programs):
+        expected = crash_loop(problem.c, problem.A, problem.relations,
+                              problem.b, problem.lower, problem.upper)
+        got = crash_start(problem)
+        for name, want, have in zip(("status", "x", "basis", "signs"),
+                                    expected, got):
+            assert have.shape == want.shape, (i, name)
+            assert have.tobytes() == want.astype(have.dtype).tobytes(), \
+                (i, name)
+        d = problem.num_vars
+        with_artificials += expected[3].size > 0
+        with_singletons += bool(np.any(expected[2] < d))
+    assert with_artificials > 300 and with_singletons > 300
+
+
+def test_every_basic_column_dense(monkeypatch):
+    # all four rows are tight at the optimum and every x_j lies inside its
+    # box, so the final basis holds the four dense columns and no
+    # singleton: the block F is the whole r x r basis matrix
+    A = np.eye(4) + 0.1 + np.diag([0.0, 0.3, 0.0, -0.2])
+    b = np.array([1.0, 2.0, -1.0, 0.5])
+    tableaus = []
+    real_phase = lp._simplex_phase
+
+    def recording_phase(tab, *args, **kwargs):
+        tableaus.append(tab)
+        return real_phase(tab, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "_simplex_phase", recording_phase)
+    problem = make([-1.0] * 4, A, ("<=",) * 4, b, [-100.0] * 4, [100.0] * 4)
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, np.linalg.solve(A, b), rtol=0, atol=1e-12)
+    tab = tableaus[-1]
+    assert sorted(tab.basis.tolist()) == [0, 1, 2, 3]
+    assert tab.pos_d.size == 4 and tab.pos_s.size == 0
+    assert tab.f_inv.shape == (4, 4)
