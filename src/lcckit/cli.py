@@ -8,16 +8,14 @@ program, cycling, singular covariance).
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import os
 import sys
 
 import numpy as np
 
 from .data import (DataError, Dataset, SHAPE_NAMES, apply_normalizer,
-                   demo_gaussian_pair, drop_zero_variance, fit_normalizer,
-                   gen_shape, load_csv)
+                   as_labels, demo_gaussian_pair, drop_zero_variance,
+                   fit_normalizer, gen_shape, load_csv, read_matrix)
 from .discriminators import DiscriminatorError
 from .evaluation import (BenchmarkConfig, EvalError, METHOD_NAMES, METHODS,
                          check_methods, fit, roc_auc, report_to_csv,
@@ -100,24 +98,9 @@ def parse_gen_spec(text: str, seed: int) -> Dataset:
                      + ", ".join(SHAPE_NAMES))
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text.strip())
-    except ValueError:
-        return False
-    return True
-
-
 def _load_dataset(args) -> Dataset:
     if args.data is not None:
-        try:
-            with open(args.data, newline="", encoding="utf-8") as fh:
-                first = next(csv.reader(fh), None)
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.data}: {exc}") from None
-        has_header = bool(first) and any(c.strip() and not _is_number(c)
-                                         for c in first)
-        return load_csv(args.data, has_header=has_header)
+        return load_csv(args.data)
     return parse_gen_spec(args.gen, args.seed)
 
 
@@ -179,78 +162,16 @@ def cmd_train(args) -> int:
 
 # ---------------------------------------------------------------- predict
 
-# a line made of these characters alone has no cell: separators, quotes
-# and whitespace (the 29 characters str.strip() removes)
-_BLANK = (',"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002'
-          '\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f'
-          '\u205f\u3000')
-
-
-def _numbers(lines) -> np.ndarray | None:
-    """The lines' comma-separated cells as a float matrix, or None if a
-    cell is not a number or the lines differ in width."""
-    try:
-        return np.loadtxt(lines, dtype=np.float64, delimiter=",",
-                          quotechar='"', comments=None, ndmin=2)
-    except ValueError:
-        return None
-
-
-def _cell_lines(fh):
-    """(line number, line) for each line of the file that has a cell."""
-    for line_no, line in enumerate(fh, start=1):
-        if line.strip(_BLANK):
-            yield line_no, line
-
-
-def _read_matrix(path: str) -> np.ndarray:
-    """Numeric CSV rows.  Blank lines are skipped, and so are the lines
-    before the first numeric one, as a header."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    with fh:
-        lines = _cell_lines(fh)
-        for first, first_line in lines:
-            if _numbers([first_line]) is not None:
-                break
-        else:
-            return np.zeros((0, 0))
-        matrix = _numbers(itertools.chain([first_line],
-                                          (line for _, line in lines)))
-        if matrix is not None and np.isfinite(matrix).all():
-            return matrix
-        # name the first line that breaks the rows: a cell that is not a
-        # number, a non-finite value, or a width unlike the first row's
-        width = _numbers([first_line]).shape[1]
-        fh.seek(0)
-        for line_no, line in _cell_lines(fh):
-            if line_no < first:
-                continue
-            row = _numbers([line])
-            if row is None:
-                raise UsageError(f"line {line_no}: non-numeric cell")
-            if not np.isfinite(row).all():
-                raise UsageError(f"line {line_no}: non-finite value")
-            if row.shape[1] != width:
-                raise UsageError(f"line {line_no}: expected {width} cells, "
-                                 f"got {row.shape[1]}")
-    raise UsageError("rows are not comma-separated numbers")
-
-
 def cmd_predict(args) -> int:
     saved = load_classifier(args.model)
-    matrix = _read_matrix(args.data)
+    matrix = read_matrix(args.data)
     out_lines = ["label,score"]
     true_labels = None
     if matrix.size:
         feats = matrix
-        expected = saved.original_n
-        if expected is not None and matrix.shape[1] == expected + 1:
-            tail = np.unique(matrix[:, -1])
-            if set(tail) <= {-1.0, 1.0} or set(tail) <= {0.0, 1.0}:
-                true_labels = np.where(matrix[:, -1] <= 0.0, -1, 1)
+        if matrix.shape[1] - 1 == saved.original_n:
+            true_labels = as_labels(matrix[:, -1])
+            if true_labels is not None:
                 feats = matrix[:, :-1]
         labels, scores = predict_saved(saved, feats)
         out_lines += [f"{int(l)},{float(s)!r}" for l, s in zip(labels, scores)]

@@ -1,14 +1,16 @@
 """Dataset handling: CSV ingestion, z-score normalization, column pruning,
 and deterministic synthetic generators.
 
-Labels are always -1 / +1 internally.  Files using 0 / 1 are remapped on
-ingestion.  All returned arrays are read-only so that datasets, once built,
-cannot drift under the feet of a trained model.
+read_matrix is the one numeric-CSV reader behind `train`, `benchmark
+--data` and `predict`; load_csv takes its last column as the labels,
+which are always -1 / +1 internally (as_labels remaps 0 / 1).  All
+returned arrays are read-only so that datasets, once built, cannot drift
+under the feet of a trained model.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,80 +90,104 @@ def require_both_classes(data: Dataset, context: str) -> None:
                         f"(got {neg} of class -1, {pos} of class +1)")
 
 
-def _parse_label(raw: float, line_no: int) -> float:
-    if raw != int(raw):
-        raise DataError(f"line {line_no}: label {raw!r} is not an integer")
-    return raw
+# a line made of these characters alone has no cell: separators, quotes
+# and whitespace (the 29 characters str.strip() removes)
+_BLANK = (',"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002'
+          '\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f'
+          '\u205f\u3000')
 
 
-def load_csv(path: str, label_column: int = -1,
-             has_header: bool = False) -> Dataset:
-    """Read a delimited text file into a Dataset.
+def _numbers(lines, usecols=None) -> np.ndarray | None:
+    """The lines' comma-separated cells (those in usecols, if given) as a
+    float matrix, or None if the reader rejects them."""
+    try:
+        return np.loadtxt(lines, dtype=np.float64, delimiter=",",
+                          quotechar='"', comments=None, ndmin=2,
+                          usecols=usecols)
+    except ValueError:
+        return None
 
-    label_column indexes the label field (negative indices count from the
-    end).  Labels may be -1/+1 or 0/1; the latter pair is remapped so that
-    0 becomes -1.  Any unparseable or non-finite cell raises DataError
-    naming the offending line and column (both 1-based, counting the header
-    line if present).
+
+def _cell_lines(fh):
+    """(line number, line) for each line of the file that has a cell."""
+    for line_no, line in enumerate(fh, start=1):
+        if line.strip(_BLANK):
+            yield line_no, line
+
+
+def _check_line(line_no: int, line: str, width: int) -> None:
+    """Raise DataError if the line breaks the rows: a cell that is not a
+    number, a non-finite value, or a width unlike the first row's."""
+    at = f"line {line_no}"
+    row = _numbers([line])
+    if row is None:
+        # the first rejected column comes before any index past the end
+        col = next(c for c in itertools.count()
+                   if _numbers([line], usecols=c) is None)
+        raise DataError(f"{at}, column {col + 1}: non-numeric cell")
+    bad = np.flatnonzero(~np.isfinite(row[0]))
+    if bad.size:
+        raise DataError(f"{at}, column {bad[0] + 1}: non-finite value")
+    if row.shape[1] != width:
+        raise DataError(f"{at}: expected {width} cells, got {row.shape[1]}")
+
+
+def read_matrix(path: str) -> np.ndarray:
+    """The file's rows of comma-separated numbers as a float matrix.
+
+    Blank lines (only separators, quotes and whitespace) are skipped, and
+    so is every line before the first row of numbers, as a header.  Cells
+    may be quoted and padded.  Without a row of numbers the matrix is
+    (0, 0).  A bad row raises DataError naming its line, counting every
+    line from 1, and for a bad cell its column.
     """
-    rows: list[list[float]] = []
-    raw_labels: list[float] = []
-    width = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, cells in enumerate(reader, start=1):
-            if has_header and line_no == 1:
-                continue
-            if not cells or all(c.strip() == "" for c in cells):
-                continue
-            if width is None:
-                width = len(cells)
-                if width < 2:
-                    raise DataError(
-                        f"line {line_no}: need at least one feature column "
-                        "and one label column")
-                try:
-                    label_idx = range(width).index(
-                        range(width)[label_column])
-                except IndexError:
-                    raise DataError(
-                        f"label column {label_column} out of range for "
-                        f"{width} columns") from None
-            elif len(cells) != width:
-                raise DataError(
-                    f"line {line_no}: expected {width} cells, got {len(cells)}")
-            parsed = []
-            for col_no, cell in enumerate(cells, start=1):
-                text = cell.strip()
-                if text == "":
-                    raise DataError(
-                        f"line {line_no}, column {col_no}: empty cell")
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise DataError(
-                        f"line {line_no}, column {col_no}: "
-                        f"cannot parse {cell!r}") from None
-                if not np.isfinite(value):
-                    raise DataError(
-                        f"line {line_no}, column {col_no}: "
-                        f"non-finite value {cell!r}")
-                parsed.append(value)
-            raw_labels.append(_parse_label(parsed[label_idx], line_no))
-            del parsed[label_idx]
-            rows.append(parsed)
-    if not rows:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with fh:
+        lines = _cell_lines(fh)
+        for first, first_line in lines:
+            if _numbers([first_line]) is not None:
+                break
+        else:
+            return np.zeros((0, 0))
+        matrix = _numbers(itertools.chain([first_line],
+                                          (line for _, line in lines)))
+        if matrix is not None and np.isfinite(matrix).all():
+            return matrix
+        width = _numbers([first_line]).shape[1]
+        fh.seek(0)
+        for line_no, line in _cell_lines(fh):
+            if line_no >= first:
+                _check_line(line_no, line, width)
+    raise DataError("rows are not comma-separated numbers")
+
+
+def as_labels(column) -> np.ndarray | None:
+    """-1/+1 labels from a float array of -1/+1 or 0/1 values (0 becomes
+    -1), or None if the array holds any other value."""
+    values = set(np.unique(column).tolist())
+    if values <= {-1.0, 1.0} or values <= {0.0, 1.0}:
+        return np.where(column <= 0.0, -1, 1)
+    return None
+
+
+def load_csv(path: str) -> Dataset:
+    """A Dataset from read_matrix's rows: the last column holds the labels,
+    -1/+1 or 0/1 (0 becomes -1), the others the features.  A file without
+    a row of numbers gives an empty Dataset."""
+    matrix = read_matrix(path)
+    if matrix.size == 0:
         return Dataset(np.zeros((0, 0)), np.zeros(0, dtype=np.int64))
-    values = set(raw_labels)
-    if values <= {-1.0, 1.0}:
-        labels = [int(v) for v in raw_labels]
-    elif values <= {0.0, 1.0}:
-        labels = [-1 if v == 0.0 else 1 for v in raw_labels]
-    else:
-        raise DataError(
-            f"labels must be -1/+1 or 0/1, found {sorted(values)}")
-    return Dataset(np.array(rows, dtype=np.float64),
-                   np.array(labels, dtype=np.int64))
+    if matrix.shape[1] < 2:
+        raise DataError("need at least one feature column and one label "
+                        "column")
+    labels = as_labels(matrix[:, -1])
+    if labels is None:
+        raise DataError("labels must be -1/+1 or 0/1, found "
+                        f"{np.unique(matrix[:, -1]).tolist()}")
+    return Dataset(matrix[:, :-1], labels)
 
 
 @dataclass(frozen=True)
@@ -197,12 +223,7 @@ def fit_normalizer(train: Dataset) -> Normalizer:
 
 
 def apply_normalizer(norm: Normalizer, data: Dataset) -> Dataset:
-    if data.n != norm.means.shape[0]:
-        raise DataError(
-            f"normalizer was fitted on {norm.means.shape[0]} columns, "
-            f"dataset has {data.n}")
-    feats = (data.features - norm.means) / norm.stds
-    return Dataset(feats, data.labels)
+    return Dataset(normalize_features(norm, data.features), data.labels)
 
 
 def normalize_features(norm: Normalizer, features: np.ndarray) -> np.ndarray:

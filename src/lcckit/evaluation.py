@@ -483,17 +483,17 @@ def _ranks_from_scores(scores: dict) -> dict:
 
 
 def _procedure_two(config: BenchmarkConfig, methods: list[Method]) -> EvalReport:
-    folds = stratified_kfold(config.data, config.folds, config.seed)
+    data = config.data
+    splits = [_normalized(data.take(np.delete(np.arange(data.m), held)),
+                          data.take(held))[:2]
+              for held in stratified_kfold(data, config.folds, config.seed)]
     grid_records = []
     for method in methods:
         best = None
         for value in method.grid:
             params = {**config.params, method.param_key: value}
             fold_aucs = []
-            for held in folds:
-                rest = np.delete(np.arange(config.data.m), held)
-                train, test, _ = _normalized(config.data.take(rest),
-                                             config.data.take(held))
+            for train, test in splits:
                 try:
                     model = fit(method, train, params, config.seed)
                     auc = roc_auc(model.score(test.features),

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from lcckit.cli import _BLANK, _read_matrix, main, parse_gen_spec
-from lcckit.data import demo_gaussian_pair
+from lcckit.cli import main, parse_gen_spec
+from lcckit.data import _BLANK, demo_gaussian_pair, read_matrix
 
 
 def write_labeled_csv(path, data, header=True, label_map=None):
@@ -278,7 +278,7 @@ def test_predict_malformed_model_exits_1(tmp_path, capsys):
     assert "lcckit predict: error: bad int field" in capsys.readouterr().err
 
 
-# (file text, expected matrix) for the predict CSV reader: leading
+# (file text, expected matrix) for the CSV reader: leading
 # non-numeric lines are headers, blank lines (cells all whitespace) are
 # skipped, cells may be quoted and padded, line endings may be \r\n or \r
 READ_CASES = {
@@ -298,7 +298,7 @@ def test_read_matrix_parses_bit_for_bit(tmp_path):
     for name, (text, expected) in READ_CASES.items():
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
-        got = _read_matrix(str(path))
+        got = read_matrix(str(path))
         want = np.array(expected, dtype=np.float64)
         assert got.dtype == np.float64, name
         assert got.shape == want.shape, name
@@ -323,7 +323,7 @@ def test_read_matrix_round_trips_repr_of_random_floats(tmp_path):
              for row, fmt in zip(values, [repr, "{:.17g}".format,
                                           "{:.6e}".format] * 400)]
     (tmp_path / "in.csv").write_text("h0,h1,h2,h3,h4\n" + "\n".join(lines))
-    got = _read_matrix(str(tmp_path / "in.csv"))
+    got = read_matrix(str(tmp_path / "in.csv"))
     want = np.array([[float(c) for c in ln.split(",")] for ln in lines])
     assert got.tobytes() == want.tobytes()
 
@@ -331,7 +331,7 @@ def test_read_matrix_round_trips_repr_of_random_floats(tmp_path):
 @pytest.mark.parametrize("text", ["", "\n\n", "a,b\n", "a,b\n\nc,d\n \n"])
 def test_read_matrix_without_data_rows_is_empty(tmp_path, text):
     (tmp_path / "in.csv").write_text(text)
-    got = _read_matrix(str(tmp_path / "in.csv"))
+    got = read_matrix(str(tmp_path / "in.csv"))
     assert got.shape == (0, 0) and got.dtype == np.float64
 
 
@@ -340,16 +340,16 @@ def test_read_matrix_without_data_rows_is_empty(tmp_path, text):
 READ_ERRORS = {
     "1,2\n3\n": "line 2: expected 2 cells, got 1",
     "a,b\n\n1,2\n3,4,5\n": "line 4: expected 2 cells, got 3",
-    "1,2\nx,3\n": "line 2: non-numeric cell",
-    "a,b\n1,2\n3,4\nc,d\n": "line 4: non-numeric cell",
-    "1,2\n1,,2\n": "line 2: non-numeric cell",
-    '1,2\n"1,5",2\n': "line 2: non-numeric cell",
-    "1,2\nnan,3\n": "line 2: non-finite value",
-    "h\n1,2\n3,inf\n": "line 3: non-finite value",
-    "1,2\n3,-Infinity\n": "line 2: non-finite value",
-    "1,2\n3,4\n5,nan,6\n7\n": "line 3: non-finite value",
+    "1,2\nx,3\n": "line 2, column 1: non-numeric cell",
+    "a,b\n1,2\n3,4\nc,d\n": "line 4, column 1: non-numeric cell",
+    "1,2\n1,,2\n": "line 2, column 2: non-numeric cell",
+    '1,2\n"1,5",2\n': "line 2, column 1: non-numeric cell",
+    "1,2\nnan,3\n": "line 2, column 1: non-finite value",
+    "h\n1,2\n3,inf\n": "line 3, column 2: non-finite value",
+    "1,2\n3,-Infinity\n": "line 2, column 2: non-finite value",
+    "1,2\n3,4\n5,nan,6\n7\n": "line 3, column 2: non-finite value",
     "1,2\n5\nnan,1\n": "line 2: expected 2 cells, got 1",
-    "1,2\nx\n3\n": "line 2: non-numeric cell",
+    "1,2\nx\n3\n": "line 2, column 1: non-numeric cell",
 }
 
 
@@ -371,3 +371,78 @@ def test_predict_reports_bad_csv_line(tmp_path, capsys, saved_model, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"lcckit predict: error: {READ_ERRORS[text]}\n"
+
+
+# the same labelled rows written each way the CSV reader accepts; training
+# on any of them must write the plain file's model byte for byte
+def _train_variants():
+    data = demo_gaussian_pair(m_per_class=20, seed=3)
+    rows = [([repr(float(v)) for v in row], str(int(lab)))
+            for row, lab in zip(data.features, data.labels)]
+    plain = [",".join(cells + [lab]) for cells, lab in rows]
+    quoted = [f'"{cells[0]}", {cells[1]} ,"{lab}"' for cells, lab in rows]
+    zero_one = [",".join(cells + ["0" if lab == "-1" else "1"])
+                for cells, lab in rows]
+    blank = [ln + "\n , \n,\n" if i % 3 == 0 else ln
+             for i, ln in enumerate(plain)]
+    return {
+        "plain": "\n".join(plain) + "\n",
+        "header": "x0,x1,label\n" + "\n".join(plain) + "\n",
+        "two headers": "name,value,class\nunits,cm,-\n" + "\n".join(plain),
+        "blank lines": "\n\n" + "\n".join(blank) + "\n\n",
+        "quoted and padded": "\n".join(quoted) + "\n",
+        "crlf": "a,b,c\r\n" + "\r\n".join(plain) + "\r\n",
+        "cr": "\r".join(plain) + "\r",
+        "0/1 labels": "\n".join(zero_one) + "\n",
+    }
+
+
+TRAIN_VARIANTS = _train_variants()
+
+
+def _train_model(directory, text):
+    (directory / "in.csv").write_bytes(text.encode())
+    assert main(["train", "--data", str(directory / "in.csv"), "--method",
+                 "lcc", "--out", str(directory)]) == 0
+    return (directory / "model.txt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def plain_model(tmp_path_factory):
+    return _train_model(tmp_path_factory.mktemp("plain"),
+                        TRAIN_VARIANTS["plain"])
+
+
+@pytest.mark.parametrize("name", [n for n in TRAIN_VARIANTS if n != "plain"])
+def test_train_reads_every_csv_variant_alike(tmp_path, capsys, plain_model,
+                                             name):
+    assert _train_model(tmp_path, TRAIN_VARIANTS[name]) == plain_model
+    capsys.readouterr()
+
+
+# file text -> the error `lcckit train --data` reports (exit 1)
+TRAIN_ERRORS = {
+    "1,-1\nx,1\n": "line 2, column 1: non-numeric cell",
+    "a,b\n1,-1\n2,\n": "line 3, column 2: non-numeric cell",
+    "": "training data is empty",
+    "x,label\n\n": "training data is empty",
+    "1,-1\n2,inf\n": "line 2, column 2: non-finite value",
+    "1,2,-1\n3,1\n": "line 2: expected 3 cells, got 2",
+    "1,-1\n2,0.5\n": "labels must be -1/+1 or 0/1, found [-1.0, 0.5]",
+    "1,0\n2,-1\n3,1\n": "labels must be -1/+1 or 0/1, "
+                         "found [-1.0, 0.0, 1.0]",
+    "1\n2\n": "need at least one feature column and one label column",
+}
+
+
+@pytest.mark.parametrize("text", list(TRAIN_ERRORS))
+def test_train_reports_bad_csv(tmp_path, capsys, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    rc = main(["train", "--data", str(path), "--method", "lcc",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lcckit train: error: {TRAIN_ERRORS[text]}\n"
+    assert not (tmp_path / "out").exists()

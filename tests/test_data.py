@@ -69,8 +69,8 @@ def test_load_csv_plain(tmp_path):
 
 def test_load_csv_header_and_label_column(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("lab,a,b\n1,0.5,0.25\n0,1.5,2.5\n")
-    ds = load_csv(str(p), label_column=0, has_header=True)
+    p.write_text("a,b,lab\n0.5,0.25,1\n1.5,2.5,0\n")
+    ds = load_csv(str(p))
     np.testing.assert_array_equal(ds.labels, [1, -1])  # 0/1 remapped
     np.testing.assert_allclose(ds.features, [[0.5, 0.25], [1.5, 2.5]])
 
