@@ -203,7 +203,6 @@ def cmd_benchmark(args) -> int:
     data = _load_dataset(args)
     config = BenchmarkConfig(
         data=data, methods=tuple(names), runs=args.runs, seed=args.seed,
-        reference="lcc" if "lcc" in names else names[0],
         procedure=args.procedure, folds=args.folds, params=params)
     report = run_benchmark(config)
     path = _out_path(args.out, "report.csv")

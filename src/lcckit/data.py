@@ -109,8 +109,12 @@ def _numbers(lines, usecols=None) -> np.ndarray | None:
 
 
 def _cell_lines(fh):
-    """(line number, line) for each line of the file that has a cell."""
+    """(line number, line) for each line of the file that has a cell; a
+    line with an odd number of quotes raises DataError, since a quoted
+    cell never spans lines."""
     for line_no, line in enumerate(fh, start=1):
+        if '"' in line and line.count('"') % 2:
+            raise DataError(f"line {line_no}: unbalanced quote")
         if line.strip(_BLANK):
             yield line_no, line
 
@@ -137,9 +141,10 @@ def read_matrix(path: str) -> np.ndarray:
 
     Blank lines (only separators, quotes and whitespace) are skipped, and
     so is every line before the first row of numbers, as a header.  Cells
-    may be quoted and padded.  Without a row of numbers the matrix is
-    (0, 0).  A bad row raises DataError naming its line, counting every
-    line from 1, and for a bad cell its column.
+    may be quoted, the quote closing on its line, and padded.  Without a
+    row of numbers the matrix is (0, 0).  A bad row raises DataError
+    naming its line, counting every line from 1, and for a bad cell its
+    column.
     """
     try:
         fh = open(path, encoding="utf-8")

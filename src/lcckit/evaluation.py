@@ -58,6 +58,7 @@ from .lcc import (
 )
 
 EXACT_RANK_SUM_LIMIT = 12
+TRAIN_FRACTION = 0.7   # procedure 1's split: the paper's 70/30
 
 # fifteen values each, matching the published search ranges
 GRID_SIGMA = tuple(-(2.0 ** e) for e in range(-7, 8))
@@ -295,7 +296,7 @@ def _centralizer_summary(slacks, extra=lambda model: []):
 
 
 def _fqcc_slacks(model: FqccModel, train: Dataset) -> np.ndarray:
-    return fqcc_epsilons(train.features, train.labels, model.beta,
+    return fqcc_epsilons(train.features @ model.beta, train.labels,
                          model.c_neg_hat, model.c_pos_hat, model.sigma)
 
 
@@ -407,9 +408,7 @@ class BenchmarkConfig:
     data: Dataset
     methods: tuple
     runs: int = 100
-    train_fraction: float = 0.7
     seed: int = 42
-    reference: str = "lcc"
     procedure: int = 1
     folds: int = 10
     params: dict = field(default_factory=dict)
@@ -451,29 +450,25 @@ def _run_once(method: Method, params: dict, train: Dataset, test: Dataset,
     return RunRecord(method.name, run, auc_tr, auc_te, ms)
 
 
-def _procedure_one(config: BenchmarkConfig, methods: list[Method]) -> EvalReport:
+def _procedure_one(config: BenchmarkConfig, methods: list[Method],
+                   reference: str) -> EvalReport:
     records: list[RunRecord] = []
     for run in range(config.runs):
         run_seed = config.seed + run
-        train, test, _ = _prepare_split(config.data, config.train_fraction,
-                                        run_seed)
+        train, test, _ = _prepare_split(config.data, TRAIN_FRACTION, run_seed)
         for method in methods:
             records.append(_run_once(method, config.params, train, test,
                                      run, run_seed))
 
     attrs = ("train_auc", "test_auc", "train_ms")
     p_values: tuple = ({}, {}, {})   # train, test, time
-    names = [m.name for m in methods]
-    if config.reference in names:
-        ref = [_successes(records, config.reference, a) for a in attrs]
-        for name in names:
-            if name == config.reference:
-                continue
-            other = [_successes(records, name, a) for a in attrs]
-            if ref[0].size and other[0].size:
-                for table, a, b in zip(p_values, ref, other):
-                    table[name] = rank_sum_test(a, b)
-    return EvalReport(1, config.reference, tuple(records), *p_values)
+    ref = [_successes(records, reference, a) for a in attrs]
+    for name in (m.name for m in methods if m.name != reference):
+        other = [_successes(records, name, a) for a in attrs]
+        if ref[0].size and other[0].size:
+            for table, a, b in zip(p_values, ref, other):
+                table[name] = rank_sum_test(a, b)
+    return EvalReport(1, reference, tuple(records), *p_values)
 
 
 def _ranks_from_scores(scores: dict) -> dict:
@@ -482,7 +477,8 @@ def _ranks_from_scores(scores: dict) -> dict:
     return {name: float(rank - 1.0) for name, rank in zip(scores, ranks)}
 
 
-def _procedure_two(config: BenchmarkConfig, methods: list[Method]) -> EvalReport:
+def _procedure_two(config: BenchmarkConfig, methods: list[Method],
+                   reference: str) -> EvalReport:
     data = config.data
     splits = [_normalized(data.take(np.delete(np.arange(data.m), held)),
                           data.take(held))[:2]
@@ -508,7 +504,7 @@ def _procedure_two(config: BenchmarkConfig, methods: list[Method]) -> EvalReport
         grid_records.append(GridRecord(method.name, method.param_name,
                                        best[1], best[0], best[2]))
     ranks = _ranks_from_scores({g.method: g.best_auc for g in grid_records})
-    return EvalReport(2, config.reference, grid_records=tuple(grid_records),
+    return EvalReport(2, reference, grid_records=tuple(grid_records),
                       ranks=ranks)
 
 
@@ -517,7 +513,8 @@ def run_benchmark(config: BenchmarkConfig) -> EvalReport:
 
     Procedure 1 repeats stratified 70/30 splits with the configured
     parameters and records per-run train/test AUC and training wall
-    time, plus rank-sum p-values of every method against the reference.
+    time, plus rank-sum p-values of every method against the reference:
+    lcc if it is among the methods, else the first method.
     Procedure 2 searches each method's parameter grid by k-fold cross
     validation and reports the best mean held-out AUC and method ranks.
     """
@@ -531,9 +528,9 @@ def run_benchmark(config: BenchmarkConfig) -> EvalReport:
     data, _ = drop_zero_variance(config.data)
     cfg = replace(config, data=data)
     methods = [METHODS[name] for name in config.methods]
-    if config.procedure == 1:
-        return _procedure_one(cfg, methods)
-    return _procedure_two(cfg, methods)
+    reference = "lcc" if "lcc" in config.methods else config.methods[0]
+    procedure = _procedure_one if config.procedure == 1 else _procedure_two
+    return procedure(cfg, methods, reference)
 
 
 def aggregate_ranks(per_dataset_ranks) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, _frozen, require_both_classes
 from .lcc import (DEFAULT_LAMBDA, DEFAULT_SIGMA, Centralizer, TrainingError,
-                  _centralization_lp, _check_params)
+                  _centralization_lp, _check_params, _fitted)
 from .lp import LpProblem, solve
 
 KERNEL_KINDS = ("linear", "rbf")
@@ -148,20 +148,7 @@ def train_klcc(train: Dataset, spec: KernelSpec,
                sigma: float = DEFAULT_SIGMA) -> KernelLccModel:
     """Fit the kernel classifier by solving its linear program."""
     problem, center_neg, center_pos = _klcc_program(train, spec, lam, sigma)
-    solution = solve(problem)
-    if solution.status == "infeasible":
-        raise TrainingError(
-            "no coefficient vector separates the projected class centers "
-            f"by |sigma|={-sigma:g}: classes have (near-)identical centers "
-            "in the kernel space or |sigma| exceeds the attainable gap")
-    if solution.status != "optimal":
-        raise TrainingError(f"unexpected solver status {solution.status!r}")
-    m = train.m
-    alphas = solution.x[:m]
-    epsilons = solution.x[m:]
-    c_neg_hat = float(center_neg @ alphas)
-    c_pos_hat = float(center_pos @ alphas)
-    l_hat = (c_neg_hat + c_pos_hat) / 2.0
+    alphas, *centers, epsilons = _fitted(solve(problem), train.m, center_neg,
+                                         center_pos, sigma)
     return KernelLccModel(spec.kind, spec.rbf_width, alphas, train.features,
-                          c_neg_hat, c_pos_hat, l_hat, float(lam),
-                          float(sigma), epsilons)
+                          *centers, float(lam), float(sigma), epsilons)

@@ -12,12 +12,15 @@ linear program:
 
 with l = (C_neg + C_pos) / 2 and sigma < 0.  eps_i above sigma flags an
 instance inside the margin; eps_i above zero flags a misclassified one.
+The program is feasible exactly when |sigma| is at most the L1 gap
+||C_pos - C_neg||_1; kernel.train_klcc solves it over Gram rows.
 
 The quadratic variant (train_fqcc) scores sides by absolute distance to
 each projected center instead of by the midpoint, which makes the problem
 non-linear; it is minimized by projected subgradient descent with random
 restarts.  Its per-instance slack has a closed form, so no explicit eps
-variables are needed.
+variables are needed, and each step takes the criterion's value and a
+subgradient from one projection of the rows.
 """
 
 from __future__ import annotations
@@ -132,10 +135,10 @@ class LccModel(Centralizer):
         return np.asarray(X, dtype=np.float64) @ self.beta
 
 
-def _projected_centers(train: Dataset, beta: np.ndarray):
+def _projected_centers(beta: np.ndarray, center_neg: np.ndarray,
+                       center_pos: np.ndarray):
     """(c_neg_hat, c_pos_hat, l_hat): the class centers projected through
     beta, and their midpoint."""
-    center_neg, center_pos = class_centers(train)
     c_neg_hat = float(center_neg @ beta)
     c_pos_hat = float(center_pos @ beta)
     return c_neg_hat, c_pos_hat, (c_neg_hat + c_pos_hat) / 2.0
@@ -146,19 +149,30 @@ def model_from_beta(train: Dataset, beta: np.ndarray, lam: float,
     """The model a fixed projection implies: centers, threshold, slacks."""
     _check_params(lam, sigma)
     beta = np.asarray(beta, dtype=np.float64)
-    c_neg_hat, c_pos_hat, l_hat = _projected_centers(train, beta)
+    c_neg_hat, c_pos_hat, l_hat = _projected_centers(beta,
+                                                     *class_centers(train))
     projected = train.features @ beta
     epsilons = np.maximum(sigma, train.labels * (l_hat - projected))
     return LccModel(beta, c_neg_hat, c_pos_hat, l_hat, float(lam),
                     float(sigma), epsilons)
 
 
-def _infeasible_message(train: Dataset, sigma: float) -> str:
-    center_neg, center_pos = class_centers(train)
-    gap = float(np.abs(center_pos - center_neg).sum())
-    return (f"no projection can separate the class centers by |sigma|={-sigma:g}: "
-            f"classes have (near-)identical centers or |sigma| exceeds the "
-            f"center gap bound (L1 gap {gap:g} < {-sigma:g})")
+def _fitted(solution: LpSolution, k: int, center_neg: np.ndarray,
+            center_pos: np.ndarray, sigma: float):
+    """(coefficients, c_neg_hat, c_pos_hat, l_hat, slacks) of a solved
+    centralization program with k coefficients and the given centers."""
+    if solution.status == "infeasible":
+        gap = float(np.abs(center_pos - center_neg).sum())
+        raise TrainingError(
+            f"no projection can separate the class centers by |sigma|="
+            f"{-sigma:g}: classes have (near-)identical centers or |sigma| "
+            f"exceeds the center gap bound (L1 gap {gap:g} < {-sigma:g})")
+    if solution.status != "optimal":
+        raise TrainingError(f"unexpected solver status {solution.status!r}")
+    coefficients = solution.x[:k]
+    return (coefficients,
+            *_projected_centers(coefficients, center_neg, center_pos),
+            solution.x[k:])
 
 
 def train_lcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
@@ -168,15 +182,10 @@ def train_lcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
     The slacks are the solver's own: recomputed from beta, as
     model_from_beta does, they can differ in the last bit.
     """
-    problem = assemble_lcc_lp(train, lam, sigma)
-    solution: LpSolution = solve(problem)
-    if solution.status == "infeasible":
-        raise TrainingError(_infeasible_message(train, sigma))
-    if solution.status != "optimal":
-        raise TrainingError(f"unexpected solver status {solution.status!r}")
-    beta = solution.x[:train.n]
-    return LccModel(beta, *_projected_centers(train, beta), float(lam),
-                    float(sigma), solution.x[train.n:])
+    solution = solve(assemble_lcc_lp(train, lam, sigma))
+    beta, *centers, epsilons = _fitted(solution, train.n,
+                                       *class_centers(train), sigma)
+    return LccModel(beta, *centers, float(lam), float(sigma), epsilons)
 
 
 @dataclass(frozen=True)
@@ -212,34 +221,25 @@ class FqccModel:
         return np.where(self.score(X) <= 0, -1, 1)
 
 
-def fqcc_epsilons(features: np.ndarray, labels: np.ndarray,
-                  beta: np.ndarray, c_neg_hat: float, c_pos_hat: float,
+def fqcc_epsilons(projected: np.ndarray, labels: np.ndarray,
+                  c_neg_hat: float, c_pos_hat: float,
                   sigma: float) -> np.ndarray:
-    """Closed-form per-instance slack of the distance-based criterion."""
-    projected = features @ beta
+    """Closed-form per-instance slack of the distance-based criterion,
+    from each row's projected value."""
     violation = labels * (np.abs(projected - c_pos_hat)
                           - np.abs(projected - c_neg_hat))
     return np.maximum(sigma, violation)
 
 
-def fqcc_objective(train: Dataset, beta: np.ndarray, lam: float,
-                   sigma: float) -> float:
-    c_neg_hat, c_pos_hat, _ = _projected_centers(train, beta)
-    eps = fqcc_epsilons(train.features, train.labels, beta,
-                        c_neg_hat, c_pos_hat, sigma)
-    return float(-abs(c_neg_hat - c_pos_hat) + lam * eps.sum())
-
-
-def _fqcc_subgradient(train: Dataset, beta: np.ndarray,
-                      center_neg: np.ndarray, center_pos: np.ndarray,
-                      lam: float, sigma: float) -> np.ndarray:
+def _fqcc_step(train: Dataset, beta: np.ndarray, center_neg: np.ndarray,
+               center_pos: np.ndarray, lam: float, sigma: float):
+    """(value, subgradient) of the distance-based criterion at beta."""
     projected = train.features @ beta
-    c_neg_hat = float(center_neg @ beta)
-    c_pos_hat = float(center_pos @ beta)
+    c_neg_hat, c_pos_hat, _ = _projected_centers(beta, center_neg, center_pos)
+    eps = fqcc_epsilons(projected, train.labels, c_neg_hat, c_pos_hat, sigma)
+    value = float(-abs(c_neg_hat - c_pos_hat) + lam * eps.sum())
     grad = -np.sign(c_neg_hat - c_pos_hat) * (center_neg - center_pos)
-    violation = train.labels * (np.abs(projected - c_pos_hat)
-                                - np.abs(projected - c_neg_hat))
-    active = violation > sigma
+    active = eps > sigma
     if np.any(active):
         signs_pos = np.sign(projected[active] - c_pos_hat)
         signs_neg = np.sign(projected[active] - c_neg_hat)
@@ -247,52 +247,45 @@ def _fqcc_subgradient(train: Dataset, beta: np.ndarray,
             signs_pos[:, None] * (train.features[active] - center_pos)
             - signs_neg[:, None] * (train.features[active] - center_neg))
         grad = grad + lam * rows.sum(axis=0)
-    return grad
+    return value, grad
+
+
+def fqcc_objective(train: Dataset, beta: np.ndarray, lam: float,
+                   sigma: float) -> float:
+    """The distance-based criterion at beta."""
+    return _fqcc_step(train, beta, *class_centers(train), lam, sigma)[0]
 
 
 def train_fqcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
-               sigma: float = DEFAULT_SIGMA, restarts: int = FQCC_RESTARTS,
-               iterations: int = FQCC_ITERATIONS, seed: int = 0) -> FqccModel:
+               sigma: float = DEFAULT_SIGMA, seed: int = 0) -> FqccModel:
     """Fit the distance-based variant by multi-start projected subgradient.
 
-    The first start is the clipped center difference; the rest are seeded
-    uniform draws from the box.  The best iterate ever visited is returned,
-    so more iterations can only improve the objective.
+    FQCC_RESTARTS starts of FQCC_ITERATIONS steps each: the first start is
+    the clipped center difference, the rest are seeded uniform draws from
+    the box.  The best iterate ever visited is returned.
     """
     _check_params(lam, sigma)
     require_both_classes(train, "train_fqcc")
-    if restarts < 1:
-        raise TrainingError("restarts must be at least 1")
-    if iterations < 1:
-        raise TrainingError("iterations must be at least 1")
     center_neg, center_pos = class_centers(train)
-    n = train.n
     rng = np.random.default_rng(seed)
-
     starts = [np.clip(center_pos - center_neg, -1.0, 1.0)]
-    for _ in range(restarts - 1):
-        starts.append(rng.uniform(-1.0, 1.0, n))
+    starts += [rng.uniform(-1.0, 1.0, train.n)
+               for _ in range(FQCC_RESTARTS - 1)]
 
-    best_beta = None
-    best_value = np.inf
-    for start in starts:
-        beta = start.astype(np.float64)
-        value = fqcc_objective(train, beta, lam, sigma)
-        if value < best_value:
-            best_value, best_beta = value, beta.copy()
-        for t in range(iterations):
-            grad = _fqcc_subgradient(train, beta, center_neg, center_pos,
+    best_beta, best_value = None, np.inf
+    for beta in starts:
+        for t in range(FQCC_ITERATIONS + 1):
+            value, grad = _fqcc_step(train, beta, center_neg, center_pos,
                                      lam, sigma)
+            if value < best_value:
+                best_value, best_beta = value, beta
             norm = float(np.linalg.norm(grad))
-            if norm < 1e-15:
+            if t == FQCC_ITERATIONS or norm < 1e-15:
                 break
             step = 0.5 / (norm * np.sqrt(t + 1.0))
             beta = np.clip(beta - step * grad, -1.0, 1.0)
-            value = fqcc_objective(train, beta, lam, sigma)
-            if value < best_value:
-                best_value, best_beta = value, beta.copy()
 
-    c_neg_hat = float(center_neg @ best_beta)
-    c_pos_hat = float(center_pos @ best_beta)
+    c_neg_hat, c_pos_hat, _ = _projected_centers(best_beta, center_neg,
+                                                 center_pos)
     return FqccModel(best_beta, c_neg_hat, c_pos_hat, float(lam),
                      float(sigma), best_value)

@@ -138,6 +138,15 @@ def test_train_infeasible_sigma_exits_2_citing_bound(tmp_path, capsys):
     assert "L1 gap" in err
 
 
+def test_train_klcc_infeasible_sigma_exits_2_citing_bound(tmp_path, capsys):
+    rc = main(["train", "--gen", "gaussian", "--method", "klcc",
+               "--kernel", "linear", "--sigma=-1e6", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "identical centers" in err
+    assert "L1 gap" in err
+
+
 def test_train_usage_errors_exit_1(tmp_path, capsys):
     assert main(["train", "--gen", "gaussian", "--method", "forest",
                  "--out", str(tmp_path)]) == 1
@@ -350,6 +359,8 @@ READ_ERRORS = {
     "1,2\n3,4\n5,nan,6\n7\n": "line 3, column 2: non-finite value",
     "1,2\n5\nnan,1\n": "line 2: expected 2 cells, got 1",
     "1,2\nx\n3\n": "line 2, column 1: non-numeric cell",
+    '1,2\n1,"2\n': "line 2: unbalanced quote",
+    '1,2\n"3\n4",5\n': "line 2: unbalanced quote",
 }
 
 
@@ -432,6 +443,8 @@ TRAIN_ERRORS = {
     "1,0\n2,-1\n3,1\n": "labels must be -1/+1 or 0/1, "
                          "found [-1.0, 0.0, 1.0]",
     "1\n2\n": "need at least one feature column and one label column",
+    '1,-1\n2,"1\n': "line 2: unbalanced quote",
+    '1,-1\n"3\n4",1\n': "line 2: unbalanced quote",
 }
 
 

@@ -322,6 +322,15 @@ def test_procedure_one_pvalues_against_reference():
     assert "lcc" in table and "lda" in table
 
 
+def test_procedure_one_reference_is_first_method_without_lcc():
+    ds = demo_gaussian_pair(m_per_class=15, seed=35)
+    report = run_benchmark(BenchmarkConfig(ds, ("lda", "svm"), runs=3,
+                                           seed=36))
+    assert report.reference == "lda"
+    assert set(report.p_train) == set(report.p_test) == \
+        set(report.p_time) == {"svm"}
+
+
 def test_procedure_two_grid_and_ranks():
     ds = demo_gaussian_pair(m_per_class=25, seed=30)
     cfg = BenchmarkConfig(ds, ("lcc", "lda"), seed=31, procedure=2, folds=5)

@@ -154,6 +154,20 @@ def test_infeasible_in_kernel_space():
         train_klcc(ds, KernelSpec("linear"))
 
 
+def test_infeasible_sigma_beyond_gram_row_gap():
+    # the klcc program's centers are the mean Gram rows of each class, so
+    # it is feasible exactly when |sigma| is at most their L1 gap
+    ds = demo_gaussian_pair(m_per_class=15, seed=4)
+    spec = KernelSpec("linear")
+    K = gram(spec, ds.features)
+    gap = float(np.abs(K[ds.labels == 1].mean(axis=0)
+                       - K[ds.labels == -1].mean(axis=0)).sum())
+    with pytest.raises(TrainingError, match="identical centers") as info:
+        train_klcc(ds, spec, sigma=-1.01 * gap)
+    assert f"(L1 gap {gap:g} < {1.01 * gap:g})" in str(info.value)
+    train_klcc(ds, spec, sigma=-0.99 * gap)  # still inside the bound
+
+
 def test_kernel_eval_width_mismatch():
     with pytest.raises(TrainingError):
         kernel_eval(KernelSpec("linear"), np.zeros((2, 3)), np.zeros((2, 2)))

@@ -148,7 +148,7 @@ def test_scale_invariance_of_labels():
 
 def test_fqcc_epsilons_floor_at_sigma():
     ds = toy_1d()
-    eps = fqcc_epsilons(ds.features, ds.labels, np.array([1.0]),
+    eps = fqcc_epsilons(ds.features @ np.array([1.0]), ds.labels,
                         0.5, 4.5, -0.01)
     assert np.all(eps >= -0.01)
     # the -1 point at 0 is much closer to its own center
@@ -200,11 +200,3 @@ def test_fqcc_deterministic_given_seed():
     b = train_fqcc(ds, seed=5)
     np.testing.assert_array_equal(a.beta, b.beta)
     assert a.objective == b.objective
-
-
-def test_fqcc_restart_validation():
-    with pytest.raises(TrainingError):
-        train_fqcc(toy_1d(), restarts=0)
-    with pytest.raises(TrainingError):
-        train_fqcc(toy_1d(), iterations=0)
-
