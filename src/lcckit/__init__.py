@@ -30,8 +30,9 @@ from .evaluation import (BenchmarkConfig, Discriminated, EvalError,
 from .kernel import (KernelLccModel, KernelSpec, assemble_klcc_lp, gram,
                      kernel_eval, median_pairwise_distance, train_klcc)
 from .lcc import (DEFAULT_LAMBDA, DEFAULT_SIGMA, Centralizer, FqccModel,
-                  LccModel, TrainingError, assemble_lcc_lp, class_centers,
-                  fqcc_objective, model_from_beta, train_fqcc, train_lcc)
+                  LccModel, ParameterError, TrainingError, assemble_lcc_lp,
+                  class_centers, fqcc_objective, model_from_beta, train_fqcc,
+                  train_lcc)
 from .lp import (CyclingError, LpFormatError, LpProblem, LpSolution,
                  format_problem, solve)
 from .model_io import (ModelIoError, SavedClassifier, load_classifier,
@@ -47,8 +48,9 @@ __all__ = [
     "GRID_SVM_LAMBDA", "GridRecord", "KINDS", "KernelLccModel", "KernelSpec",
     "LccModel", "LdaModel", "LpFormatError", "LpProblem", "LpSolution",
     "METHODS", "METHOD_NAMES", "Method", "ModelIoError", "Normalizer",
-    "RocResult", "RunRecord", "SHAPE_NAMES", "SavedClassifier", "SvmModel",
-    "TrainingError", "aggregate_ranks", "apply_normalizer",
+    "ParameterError", "RocResult", "RunRecord", "SHAPE_NAMES",
+    "SavedClassifier", "SvmModel", "TrainingError", "aggregate_ranks",
+    "apply_normalizer",
     "assemble_klcc_lp", "assemble_lcc_lp", "check_methods", "class_centers",
     "demo_gaussian_pair", "denormalize_features", "discriminate",
     "discriminator_score", "drop_zero_variance", "fit", "fit_discriminator",

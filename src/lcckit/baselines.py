@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Dataset, _frozen, require_both_classes
 from .discriminators import _sweep_min
-from .lcc import TrainingError
+from .lcc import ParameterError, TrainingError
 
 DEFAULT_LDA_REG = 0.5
 DEFAULT_SVM_LAMBDA = 1.0
@@ -101,7 +101,8 @@ def train_lda(train: Dataset,
     """
     require_both_classes(train, "train_lda")
     if not 0.0 <= lambda_reg <= 1.0:
-        raise TrainingError(f"lambda_reg must lie in [0, 1], got {lambda_reg}")
+        raise ParameterError(
+            f"lambda_reg must lie in [0, 1], got {lambda_reg}")
     mu1, mu2, sig1, sig2 = _class_stats(train)
     pooled = _shrink(sig1 + sig2, lambda_reg)
     try:
@@ -166,9 +167,9 @@ def train_linear_svm(train: Dataset, lam: float = DEFAULT_SVM_LAMBDA,
     """
     require_both_classes(train, "train_linear_svm")
     if not lam > 0:
-        raise TrainingError(f"lam must be positive, got {lam}")
+        raise ParameterError(f"lam must be positive, got {lam}")
     if epochs < 1:
-        raise TrainingError("epochs must be at least 1")
+        raise ParameterError("epochs must be at least 1")
     rng = np.random.default_rng(seed)
     m, n = train.m, train.n
     w = np.zeros(n)

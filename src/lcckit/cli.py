@@ -1,8 +1,8 @@
 """Batch command line: train, predict, benchmark, demo.
 
-Exit codes: 0 on success, 1 for usage problems (bad flags, unreadable or
-mismatched files), 2 for numeric failures during training (infeasible
-program, cycling, singular covariance).
+Exit codes: 0 on success, 1 for usage problems (bad flags or flag values,
+unreadable or mismatched files), 2 for numeric failures during training
+(infeasible program, cycling, singular covariance).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .discriminators import DiscriminatorError
 from .evaluation import (BenchmarkConfig, EvalError, METHOD_NAMES, METHODS,
                          check_methods, fit, roc_auc, report_to_csv,
                          run_benchmark, summary_table)
-from .lcc import TrainingError, class_centers, train_lcc
+from .lcc import ParameterError, TrainingError, class_centers, train_lcc
 from .lp import CyclingError, LpFormatError
 # perfbench/spans.py wraps these names here; training goes through METHODS
 from .baselines import hinge_objective, train_lda, train_linear_svm  # noqa
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, DataError, EvalError, ModelIoError,
+    except (UsageError, DataError, EvalError, ModelIoError, ParameterError,
             DiscriminatorError, LpFormatError, OSError) as exc:
         print(f"lcckit {args.subcommand}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

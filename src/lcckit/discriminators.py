@@ -2,7 +2,8 @@
 
 Three interchangeable rules: "dist" thresholds at the projected midpoint,
 "one_nn" copies the label of the nearest stored training value, and
-"one_sv" fits a one-dimensional soft-margin SVM on rescaled values.
+"one_sv" fits a one-dimensional soft-margin SVM on values rescaled so the
+projected center gap is DEFAULT_H.  Rules answer in the query's shape.
 
 The 1-D SVM is solved exactly.  The objective
 
@@ -185,13 +186,14 @@ def solve_svm_1d(values, labels, lam: float = 1.0) -> tuple[float, float]:
                               -labels, float(m))[2]
 
 
-def fit_discriminator(kind: str, values, labels, model: LccModel,
-                      h: float = DEFAULT_H) -> Discriminator:
+def fit_discriminator(kind: str, values, labels,
+                      model: LccModel) -> Discriminator:
     """Fit one labeling rule on projected training values.
 
     dist needs only the model's midpoint threshold.  one_nn memorizes the
     (value, label) pairs sorted by value.  one_sv rescales values by
-    s = h / (projected center gap) and solves the exact 1-D SVM at lam=1.
+    s = DEFAULT_H / (projected center gap) and solves the exact 1-D SVM
+    at lam=1.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -213,12 +215,10 @@ def fit_discriminator(kind: str, values, labels, model: LccModel,
             raise DiscriminatorError(
                 "one_sv needs a positive projected center gap; "
                 f"got {gap:g} (cannot scale)")
-        if not h > 0:
-            raise DiscriminatorError("h must be positive")
-        scale = h / gap
+        scale = DEFAULT_H / gap
         w, r = solve_svm_1d(scale * values, labels, 1.0)
         return Discriminator("one_sv", scale=float(scale), weight=float(w),
-                             intercept=float(r), h=float(h))
+                             intercept=float(r), h=float(DEFAULT_H))
     raise DiscriminatorError(f"unknown discriminator kind {kind!r}")
 
 
@@ -251,27 +251,21 @@ def _nearest(values: np.ndarray,
         near = np.where(tied, np.searchsorted(values, values[below]), near)
 
 
-def discriminate(d: Discriminator, value) -> int | np.ndarray:
-    """Assign -1 or +1 to a projected value (or an array of them)."""
-    if d.kind != "one_nn":
-        # dist and one_sv label by the sign of their score; a tie is +1
-        out = np.where(discriminator_score(d, value) < 0, -1, 1)
-        return int(out) if out.ndim == 0 else out
-    arr = _check_query(value)
-    out = d.labels[_nearest(d.values, np.atleast_1d(arr))[0]]
-    return int(out[0]) if arr.ndim == 0 else out
+def discriminate(d: Discriminator, value) -> np.ndarray:
+    """-1 or +1 for each projected value, in the query's shape."""
+    if d.kind == "one_nn":
+        return d.labels[_nearest(d.values, _check_query(value))[0]]
+    # dist and one_sv label by the sign of their score; a tie is +1
+    return np.where(discriminator_score(d, value) < 0, -1, 1)
 
 
-def discriminator_score(d: Discriminator, value) -> float | np.ndarray:
-    """A continuous stand-in for the hard label, positive toward +1."""
+def discriminator_score(d: Discriminator, value) -> np.ndarray:
+    """A continuous stand-in for the hard label, positive toward +1, in
+    the query's shape."""
     arr = _check_query(value)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
+    if d.kind == "one_nn":
+        return (_nearest(d.values[d.labels == -1], arr)[1]
+                - _nearest(d.values[d.labels == 1], arr)[1])
     if d.kind == "dist":
-        out = flat - d.threshold
-    elif d.kind == "one_nn":
-        out = (_nearest(d.values[d.labels == -1], flat)[1]
-               - _nearest(d.values[d.labels == 1], flat)[1])
-    else:
-        out = d.weight * (d.scale * flat) + d.intercept
-    return float(out[0]) if scalar else out
+        return arr - d.threshold
+    return d.weight * (d.scale * arr) + d.intercept

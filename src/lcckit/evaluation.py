@@ -32,7 +32,6 @@ from .data import (
     require_both_classes,
 )
 from .discriminators import (
-    DEFAULT_H,
     KINDS,
     Discriminator,
     _tie_groups,
@@ -52,6 +51,7 @@ from .lcc import (
     Centralizer,
     FqccModel,
     LccModel,
+    ParameterError,
     fqcc_epsilons,
     train_fqcc,
     train_lcc,
@@ -84,7 +84,6 @@ def stratified_split(data: Dataset, train_fraction: float,
     require_both_classes(data, "stratified_split")
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
-    test_idx: list[int] = []
     for label in (-1, 1):
         idx = np.nonzero(data.labels == label)[0]
         n_train = int(math.floor(train_fraction * idx.size))
@@ -92,12 +91,9 @@ def stratified_split(data: Dataset, train_fraction: float,
             raise EvalError(
                 f"class {label} with {idx.size} instances would leave an "
                 f"empty train or test side at fraction {train_fraction}")
-        picked = rng.permutation(idx.size)[:n_train]
-        chosen = np.zeros(idx.size, dtype=bool)
-        chosen[picked] = True
-        train_idx.extend(idx[chosen])
-        test_idx.extend(idx[~chosen])
-    return data.take(np.sort(train_idx)), data.take(np.sort(test_idx))
+        train_idx.extend(idx[rng.permutation(idx.size)[:n_train]])
+    return (data.take(np.sort(train_idx)),
+            data.take(np.setdiff1d(np.arange(data.m), train_idx)))
 
 
 def stratified_kfold(data: Dataset, k: int, seed: int) -> list[np.ndarray]:
@@ -265,7 +261,7 @@ class Method:
 # every params key, with the value an absent key takes
 PARAM_DEFAULTS = {"lam": DEFAULT_LAMBDA, "sigma": DEFAULT_SIGMA,
                   "kernel": "rbf", "rbf_width": None, "discriminator": None,
-                  "h": DEFAULT_H, "lambda_reg": DEFAULT_LDA_REG,
+                  "lambda_reg": DEFAULT_LDA_REG,
                   "svm_lambda": DEFAULT_SVM_LAMBDA}
 
 
@@ -366,7 +362,7 @@ def fit(method: Method, train: Dataset, params: dict, seed: int):
         return model
     rule = fit_discriminator(p["discriminator"],
                              model.transform(train.features), train.labels,
-                             model, h=p["h"])
+                             model)
     return Discriminated(model, rule)
 
 
@@ -414,15 +410,10 @@ class BenchmarkConfig:
     params: dict = field(default_factory=dict)
 
 
-def _normalized(train: Dataset, test: Dataset):
+def _normalized(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     """Both sides z-scored with training statistics only."""
     norm = fit_normalizer(train)
-    return apply_normalizer(norm, train), apply_normalizer(norm, test), norm
-
-
-def _prepare_split(data: Dataset, train_fraction: float, seed: int):
-    """Split, then z-score both sides with training statistics only."""
-    return _normalized(*stratified_split(data, train_fraction, seed))
+    return apply_normalizer(norm, train), apply_normalizer(norm, test)
 
 
 def _successes(records, name: str, attr: str) -> np.ndarray:
@@ -431,7 +422,7 @@ def _successes(records, name: str, attr: str) -> np.ndarray:
                      if r.method == name and r.error is None])
 
 
-# a fit or score that raises one of these is recorded as a failure
+# errors recorded as a failed fit; a ParameterError ends the procedure
 _FIT_ERRORS = (DataError, EvalError, ValueError, RuntimeError,
                np.linalg.LinAlgError)
 
@@ -444,6 +435,8 @@ def _run_once(method: Method, params: dict, train: Dataset, test: Dataset,
         ms = (time.perf_counter() - start) * 1000.0
         auc_tr = roc_auc(model.score(train.features), train.labels).auc
         auc_te = roc_auc(model.score(test.features), test.labels).auc
+    except ParameterError:
+        raise
     except _FIT_ERRORS as exc:
         return RunRecord(method.name, run, math.nan, math.nan, math.nan,
                          f"{type(exc).__name__}: {exc}")
@@ -455,7 +448,8 @@ def _procedure_one(config: BenchmarkConfig, methods: list[Method],
     records: list[RunRecord] = []
     for run in range(config.runs):
         run_seed = config.seed + run
-        train, test, _ = _prepare_split(config.data, TRAIN_FRACTION, run_seed)
+        train, test = _normalized(*stratified_split(config.data,
+                                                    TRAIN_FRACTION, run_seed))
         for method in methods:
             records.append(_run_once(method, config.params, train, test,
                                      run, run_seed))
@@ -481,7 +475,7 @@ def _procedure_two(config: BenchmarkConfig, methods: list[Method],
                    reference: str) -> EvalReport:
     data = config.data
     splits = [_normalized(data.take(np.delete(np.arange(data.m), held)),
-                          data.take(held))[:2]
+                          data.take(held))
               for held in stratified_kfold(data, config.folds, config.seed)]
     grid_records = []
     for method in methods:
@@ -494,6 +488,8 @@ def _procedure_two(config: BenchmarkConfig, methods: list[Method],
                     model = fit(method, train, params, config.seed)
                     auc = roc_auc(model.score(test.features),
                                   test.labels).auc
+                except ParameterError:
+                    raise
                 except _FIT_ERRORS:
                     auc = math.nan
                 fold_aucs.append(auc)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _frozen, require_both_classes
-from .lcc import (DEFAULT_LAMBDA, DEFAULT_SIGMA, Centralizer, TrainingError,
-                  _centralization_lp, _check_params, _fitted)
+from .data import Dataset, _frozen
+from .lcc import (DEFAULT_LAMBDA, DEFAULT_SIGMA, Centralizer, ParameterError,
+                  TrainingError, _centralization_lp, _fitted)
 from .lp import LpProblem, solve
 
 KERNEL_KINDS = ("linear", "rbf")
@@ -32,10 +32,10 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
-            raise TrainingError(f"unknown kernel kind {self.kind!r}")
+            raise ParameterError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
             if self.rbf_width is None or not self.rbf_width > 0:
-                raise TrainingError("rbf kernel needs a positive rbf_width")
+                raise ParameterError("rbf kernel needs a positive rbf_width")
 
 
 def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -121,34 +121,23 @@ class KernelLccModel(Centralizer):
         return kernel_eval(self.spec, X, self.train_features) @ self.alphas
 
 
-def _klcc_program(train: Dataset, spec: KernelSpec, lam: float,
-                  sigma: float):
-    """(problem, center_neg, center_pos): the program and the mean Gram
-    row of each class it was built from, so one Gram matrix serves both."""
-    _check_params(lam, sigma)
-    require_both_classes(train, "assemble_klcc_lp")
-    K = gram(spec, train.features)
-    center_neg = K[train.labels == -1].mean(axis=0)
-    center_pos = K[train.labels == 1].mean(axis=0)
-    return (_centralization_lp(K, train.labels, center_neg, center_pos, lam,
-                               sigma), center_neg, center_pos)
-
-
 def assemble_klcc_lp(train: Dataset, spec: KernelSpec, lam: float,
                      sigma: float) -> LpProblem:
     """The linear program over Gram rows instead of features.
 
     Exactly m + 1 rows and 2m variables.
     """
-    return _klcc_program(train, spec, lam, sigma)[0]
+    return _centralization_lp(gram(spec, train.features), train, lam,
+                              sigma)[0]
 
 
 def train_klcc(train: Dataset, spec: KernelSpec,
                lam: float = DEFAULT_LAMBDA,
                sigma: float = DEFAULT_SIGMA) -> KernelLccModel:
     """Fit the kernel classifier by solving its linear program."""
-    problem, center_neg, center_pos = _klcc_program(train, spec, lam, sigma)
-    alphas, *centers, epsilons = _fitted(solve(problem), train.m, center_neg,
-                                         center_pos, sigma)
+    problem, *centers = _centralization_lp(gram(spec, train.features), train,
+                                           lam, sigma)
+    alphas, *projected, epsilons = _fitted(solve(problem), train.m, *centers,
+                                           sigma)
     return KernelLccModel(spec.kind, spec.rbf_width, alphas, train.features,
-                          *centers, float(lam), float(sigma), epsilons)
+                          *projected, float(lam), float(sigma), epsilons)

@@ -42,6 +42,10 @@ class TrainingError(RuntimeError):
     """Training could not produce a model for the given data/parameters."""
 
 
+class ParameterError(TrainingError):
+    """A hyperparameter lies outside its valid range."""
+
+
 def class_centers(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Mean feature vector per class: (center of -1, center of +1)."""
     require_both_classes(data, "class_centers")
@@ -51,16 +55,22 @@ def class_centers(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_params(lam: float, sigma: float) -> None:
     if not lam > 0:
-        raise TrainingError(f"lam must be positive, got {lam}")
+        raise ParameterError(f"lam must be positive, got {lam}")
     if not sigma < 0:
-        raise TrainingError(f"sigma must be negative, got {sigma}")
+        raise ParameterError(f"sigma must be negative, got {sigma}")
 
 
-def _centralization_lp(coords: np.ndarray, labels: np.ndarray,
-                       center_neg: np.ndarray, center_pos: np.ndarray,
-                       lam: float, sigma: float) -> LpProblem:
-    """The separation LP over m rows of k coordinates each: m instance
-    rows plus one center-gap row, variables (k coefficients, m slacks)."""
+def _centralization_lp(coords: np.ndarray, train: Dataset, lam: float,
+                       sigma: float):
+    """(problem, center_neg, center_pos): the separation LP over the m
+    rows of coords (features for lcc, Gram rows for klcc), with m instance
+    rows, one center-gap row and variables (k coefficients, m slacks),
+    and the class means of those rows it was built from."""
+    _check_params(lam, sigma)
+    require_both_classes(train, "the centralization program")
+    labels = train.labels
+    center_neg = coords[labels == -1].mean(axis=0)
+    center_pos = coords[labels == 1].mean(axis=0)
     m, k = coords.shape
     c = np.concatenate([center_neg - center_pos, np.full(m, lam)])
     A = np.zeros((m + 1, k + m))
@@ -72,7 +82,8 @@ def _centralization_lp(coords: np.ndarray, labels: np.ndarray,
     b = np.concatenate([np.zeros(m), [sigma]])
     lower = np.concatenate([np.full(k, -1.0), np.full(m, sigma)])
     upper = np.concatenate([np.full(k, 1.0), np.full(m, np.inf)])
-    return LpProblem(c, A, ("<=",) * (m + 1), b, lower, upper)
+    return (LpProblem(c, A, ("<=",) * (m + 1), b, lower, upper),
+            center_neg, center_pos)
 
 
 def assemble_lcc_lp(train: Dataset, lam: float, sigma: float) -> LpProblem:
@@ -81,10 +92,7 @@ def assemble_lcc_lp(train: Dataset, lam: float, sigma: float) -> LpProblem:
     Variables are (beta_1..beta_n, eps_1..eps_m), so the program has
     exactly m + 1 rows and m + n columns.
     """
-    _check_params(lam, sigma)
-    require_both_classes(train, "assemble_lcc_lp")
-    return _centralization_lp(train.features, train.labels,
-                              *class_centers(train), lam, sigma)
+    return _centralization_lp(train.features, train, lam, sigma)[0]
 
 
 class Centralizer:
@@ -182,10 +190,10 @@ def train_lcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
     The slacks are the solver's own: recomputed from beta, as
     model_from_beta does, they can differ in the last bit.
     """
-    solution = solve(assemble_lcc_lp(train, lam, sigma))
-    beta, *centers, epsilons = _fitted(solution, train.n,
-                                       *class_centers(train), sigma)
-    return LccModel(beta, *centers, float(lam), float(sigma), epsilons)
+    problem, *centers = _centralization_lp(train.features, train, lam, sigma)
+    beta, *projected, epsilons = _fitted(solve(problem), train.n, *centers,
+                                         sigma)
+    return LccModel(beta, *projected, float(lam), float(sigma), epsilons)
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,9 @@ update of a full inverse would.
 
 Pivot selection is Dantzig's rule with a permanent switch to Bland's rule
 once the objective stalls, so the solver terminates on degenerate
-programs.  Basic values are updated along each step and recomputed from
-the factored basis before the answer is read.  The answer is checked
+programs; past ITERATIONS_PER_SIZE * (rows + vars) pivots it raises
+CyclingError.  Basic values are updated along each step and recomputed
+from the factored basis before the answer is read.  The answer is checked
 before it is returned: row residuals and bound violations must lie within
 the feasibility tolerance, or solve raises CyclingError.
 
@@ -58,6 +59,7 @@ from .data import _frozen
 
 PIVOT_TOLERANCE = 1e-9
 FEASIBILITY_TOLERANCE = 1e-7
+ITERATIONS_PER_SIZE = 1000   # the iteration cap per row and per variable
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -418,18 +420,16 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
         tab.factor()
 
 
-def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
+def solve(problem: LpProblem) -> LpSolution:
     """Minimize the problem, reporting optimal/infeasible/unbounded by status.
 
-    max_iterations defaults to 10 * (rows + vars) * 100.  Exhausting it,
-    or a final answer outside the rows or bounds by more than the
-    feasibility tolerance, raises CyclingError rather than returning a
-    wrong answer.
+    Running past ITERATIONS_PER_SIZE * (rows + vars) pivots, or a final
+    answer outside the rows or bounds by more than the feasibility
+    tolerance, raises CyclingError rather than returning a wrong answer.
     """
     r = problem.num_rows
     d = problem.num_vars
-    if max_iterations is None:
-        max_iterations = 10 * (r + d) * 100
+    max_iterations = ITERATIONS_PER_SIZE * (r + d)
     stall_limit = 3 * (r + d)
     tolerance = FEASIBILITY_TOLERANCE * (
         1.0 + np.abs(problem.b).max(initial=0.0))
@@ -451,9 +451,6 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
         # pin artificials to zero for phase 2; basic ones may linger at 0
         tab.lower[d + r:] = 0.0
         tab.upper[d + r:] = 0.0
-        art_mask = np.zeros(tab.total, dtype=bool)
-        art_mask[d + r:] = True
-        tab.x[art_mask & (tab.status != _BASIC)] = 0.0
         np.clip(tab.x[d + r:], 0.0, None, out=tab.x[d + r:])
 
     phase2_c = np.zeros(tab.total)

@@ -41,8 +41,8 @@ class ModelIoError(ValueError):
 class SavedClassifier:
     """A trained model plus everything predict needs on raw input rows.
 
-    The model takes len(kept_columns) features, or original_n when no
-    columns were dropped; the normalizer, if any, has the same width.
+    The model takes len(kept_columns) features, or else original_n, which
+    defaults to its width; the normalizer, if any, has the model's width.
     """
 
     model: object
@@ -51,6 +51,8 @@ class SavedClassifier:
     original_n: int | None = None
 
     def __post_init__(self) -> None:
+        if self.kept_columns is None and self.original_n is None:
+            object.__setattr__(self, "original_n", self.model.n_features)
         kept, n = self.kept_columns, self.original_n
         if kept is not None and (n is None or
                                  not all(0 <= c < n for c in kept)):
@@ -58,7 +60,7 @@ class SavedClassifier:
                                f"in [0, {n})")
         width = self.model.n_features
         expected = n if kept is None else len(kept)
-        if expected is not None and width != expected:
+        if width != expected:
             raise ModelIoError(f"the model takes {width} feature(s), the "
                                f"kept columns are {expected}")
         norm = self.normalizer
@@ -218,7 +220,7 @@ def predict_saved(saved: SavedClassifier,
     feats = np.asarray(raw_features, dtype=np.float64)
     if feats.ndim != 2:
         raise ModelIoError("prediction input must be a 2-D array")
-    if saved.original_n is not None and feats.shape[1] != saved.original_n:
+    if feats.shape[1] != saved.original_n:
         raise ModelIoError(
             f"input has {feats.shape[1]} columns, model expects "
             f"{saved.original_n}")

@@ -1,6 +1,9 @@
 """End-to-end checks of the command line through main()."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +160,47 @@ def test_train_usage_errors_exit_1(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "missing.csv"),
                  "--method", "lcc", "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--method", "lcc", "--sigma", "0.5"],
+    ["train", "--method", "lcc", "--lambda", "-1"],
+    ["train", "--method", "lda", "--lambda", "2"],
+    ["train", "--method", "klcc", "--rbf-width", "-1"],
+    ["benchmark", "--method", "lcc,lda", "--lambda", "2", "--runs", "2"],
+])
+def test_bad_hyperparameter_values_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--gen", "gaussian:m_per_class=30",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"lcckit {argv[0]}: error:" in err
+    assert "numeric failure" not in err
+    assert not (out / "report.csv").exists()
+    assert not (out / "model.txt").exists()
+
+
+def test_predict_width_check_without_original_n(tmp_path, capsys):
+    from lcckit.lcc import train_lcc
+    from lcckit.model_io import SavedClassifier, save_classifier
+    model_path = tmp_path / "model.txt"
+    save_classifier(str(model_path),
+                    SavedClassifier(train_lcc(demo_gaussian_pair(20))))
+    csv_path = tmp_path / "wide.csv"
+    write_feature_csv(csv_path, np.ones((3, 5)))
+    assert main(["predict", "--model", str(model_path),
+                 "--data", str(csv_path)]) == 1
+    assert "input has 5 columns, model expects 2" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_test_extras():
+    code = ("import sys, lcckit, lcckit.cli; print(sorted({m.split('.')[0] "
+            "for m in sys.modules} & {'scipy', 'sklearn'}))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_missing_required_flags_exit_1(capsys):

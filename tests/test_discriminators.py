@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lcckit import discriminators
 from lcckit.data import Dataset, demo_gaussian_pair
 from lcckit.discriminators import (
+    DEFAULT_H,
     Discriminator,
     DiscriminatorError,
     _sweep_min,
@@ -211,10 +213,10 @@ def test_one_nn_memory_grows_with_queries_not_queries_times_values():
 
 def test_one_sv_scale_comes_from_centers():
     ds, model, values = projected_demo(seed=2)
-    h = 25.0
-    d = fit_discriminator("one_sv", values, ds.labels, model, h=h)
-    assert d.h == h
-    assert d.scale == pytest.approx(h / (model.c_pos_hat - model.c_neg_hat))
+    d = fit_discriminator("one_sv", values, ds.labels, model)
+    assert d.h == DEFAULT_H
+    assert d.scale == pytest.approx(DEFAULT_H
+                                    / (model.c_pos_hat - model.c_neg_hat))
 
 
 def test_one_sv_sign_tie_is_positive():
@@ -225,14 +227,15 @@ def test_one_sv_sign_tie_is_positive():
     assert discriminate(d, 2.0 - 1e-9) == -1
 
 
-def test_one_sv_h_invariance_on_separable_data():
+def test_one_sv_h_invariance_on_separable_data(monkeypatch):
     """Rescaling the projected axis rescales w and leaves every decision
     unchanged when the classes separate cleanly."""
     ds, model, values = projected_demo(seed=3)
     assert np.mean(model.predict(ds.features) == ds.labels) == 1.0
     outputs = []
     for h in (1.0, 10.0, 100.0):
-        d = fit_discriminator("one_sv", values, ds.labels, model, h=h)
+        monkeypatch.setattr(discriminators, "DEFAULT_H", h)
+        d = fit_discriminator("one_sv", values, ds.labels, model)
         outputs.append(discriminate(d, values))
     np.testing.assert_array_equal(outputs[0], outputs[1])
     np.testing.assert_array_equal(outputs[1], outputs[2])
@@ -272,7 +275,23 @@ def test_fit_validation():
     with pytest.raises(DiscriminatorError):
         fit_discriminator("nope", values, ds.labels, model)
     with pytest.raises(DiscriminatorError):
-        fit_discriminator("one_sv", values, ds.labels, model, h=0.0)
-    with pytest.raises(DiscriminatorError):
         discriminate(fit_discriminator("dist", values, ds.labels, model),
                      np.nan)
+
+
+@pytest.mark.parametrize("kind", ["dist", "one_nn", "one_sv"])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_rules_return_the_query_shape(kind, shape):
+    ds, model, values = projected_demo(seed=8)
+    d = fit_discriminator(kind, values, ds.labels, model)
+    query = np.linspace(values.min(), values.max(), 6)[:int(np.prod(shape))]
+    query = query.reshape(shape)
+    labels = discriminate(d, query)
+    scores = discriminator_score(d, query)
+    for out in (labels, scores):
+        assert isinstance(out, (np.ndarray, np.generic))
+        assert np.shape(out) == shape
+    np.testing.assert_array_equal(
+        np.ravel(labels), discriminate(d, np.ravel(query)))
+    np.testing.assert_array_equal(
+        np.ravel(scores), discriminator_score(d, np.ravel(query)))

@@ -19,7 +19,7 @@ from lcckit.evaluation import (
     stratified_kfold,
     stratified_split,
     summary_table,
-    _prepare_split,
+    _normalized,
     _ranks_from_scores,
 )
 
@@ -260,7 +260,7 @@ def test_grid_definitions():
 
 def test_prepare_split_normalizes_train_only():
     ds = demo_gaussian_pair(m_per_class=40, seed=20)
-    train, test, norm = _prepare_split(ds, 0.7, seed=21)
+    train, test = _normalized(*stratified_split(ds, 0.7, seed=21))
     np.testing.assert_allclose(train.features.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(train.features.std(axis=0), 1.0, atol=1e-12)
     # the test side borrows training statistics, so it is off (0, 1)

@@ -117,11 +117,12 @@ def test_degenerate_many_redundant_rows_terminates():
     assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_iteration_cap_raises_cycling():
+def test_iteration_cap_raises_cycling(monkeypatch):
     problem = make([-1.0, -1.0], [[1.0, 1.0]], ("<=",), [1.0],
                    [0.0, 0.0], [1.0, 1.0])
+    monkeypatch.setattr(lp, "ITERATIONS_PER_SIZE", 0)
     with pytest.raises(CyclingError, match="cycling suspected"):
-        solve(problem, max_iterations=0)
+        solve(problem)
 
 
 def test_validation_rejects_bad_shapes():
