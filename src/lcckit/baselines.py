@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Dataset, _frozen, require_both_classes
 from .discriminators import _sweep_min
-from .lcc import ParameterError, TrainingError
+from .lcc import Classifier, ParameterError, TrainingError
 
 DEFAULT_LDA_REG = 0.5
 DEFAULT_SVM_LAMBDA = 1.0
@@ -20,8 +20,8 @@ POLISH_ROUNDS = 5
 
 
 @dataclass(frozen=True)
-class LdaModel:
-    """Linear discriminant: label +1 when x . w > k, so a tie is -1."""
+class LdaModel(Classifier):
+    """Linear discriminant: label +1 when x . w > k; a tie or NaN is -1."""
 
     weight: np.ndarray
     k: float
@@ -38,17 +38,15 @@ class LdaModel:
     def n_features(self) -> int:
         return self.weight.size
 
-    def score(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weight - self.k
-
-    def predict(self, X) -> np.ndarray:
-        return np.where(self.score(X) > 0, 1, -1)
+    def decide(self, X) -> tuple[np.ndarray, np.ndarray]:
+        scores = np.asarray(X, dtype=np.float64) @ self.weight - self.k
+        return np.where(scores > 0, 1, -1), scores
 
 
 @dataclass(frozen=True)
-class SvmModel:
+class SvmModel(Classifier):
     """Linear soft-margin separator: label sign(x . weight + intercept),
-    with a tie labeled +1."""
+    with a tie or a NaN score labeled +1."""
 
     weight: np.ndarray
     intercept: float
@@ -65,11 +63,9 @@ class SvmModel:
     def n_features(self) -> int:
         return self.weight.size
 
-    def score(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weight + self.intercept
-
-    def predict(self, X) -> np.ndarray:
-        return np.where(self.score(X) < 0, -1, 1)
+    def decide(self, X) -> tuple[np.ndarray, np.ndarray]:
+        scores = np.asarray(X, dtype=np.float64) @ self.weight + self.intercept
+        return np.where(scores < 0, -1, 1), scores
 
 
 def _class_stats(train: Dataset):

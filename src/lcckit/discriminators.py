@@ -3,7 +3,9 @@
 Three interchangeable rules: "dist" thresholds at the projected midpoint,
 "one_nn" copies the label of the nearest stored training value, and
 "one_sv" fits a one-dimensional soft-margin SVM on values rescaled so the
-projected center gap is DEFAULT_H.  Rules answer in the query's shape.
+projected center gap is DEFAULT_H.  A rule sets exactly its kind's
+FIELDS; one dispatch on the kind, _decide, gives its labels and scores
+in the query's shape.
 
 The 1-D SVM is solved exactly.  The objective
 
@@ -26,7 +28,7 @@ minimum, which the linear SVM baseline's intercept step also uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,19 +64,21 @@ class Discriminator:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise DiscriminatorError(f"unknown discriminator kind {self.kind!r}")
-        if self.values is not None:
+        wanted = sorted(name for name, _ in FIELDS[self.kind])
+        if wanted != sorted(f.name for f in fields(self)[1:]
+                            if getattr(self, f.name) is not None):
+            raise DiscriminatorError(f"{self.kind} sets exactly the fields "
+                                     + ", ".join(wanted))
+        if self.kind == "one_nn":
             object.__setattr__(self, "values",
                                _frozen(self.values, np.float64))
-        if self.labels is not None:
             object.__setattr__(self, "labels", _frozen(self.labels, np.int64))
-        if self.kind == "one_nn" and (
-                self.values is None or self.labels is None
-                or self.values.shape != self.labels.shape
-                or np.any(np.diff(self.values) < 0)
-                or set(self.labels.tolist()) != {-1, 1}):
-            raise DiscriminatorError("one_nn needs ascending values, one "
-                                     "label per value, and both labels "
-                                     "-1 and +1")
+            if (self.values.shape != self.labels.shape
+                    or np.any(np.diff(self.values) < 0)
+                    or set(self.labels.tolist()) != {-1, 1}):
+                raise DiscriminatorError("one_nn needs ascending values, one "
+                                         "label per value, and both labels "
+                                         "-1 and +1")
 
 
 def _tie_groups(sorted_values: np.ndarray) -> np.ndarray:
@@ -251,21 +255,25 @@ def _nearest(values: np.ndarray,
         near = np.where(tied, np.searchsorted(values, values[below]), near)
 
 
+def _decide(d: Discriminator, value) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, scores) in the query's shape; the one dispatch on the
+    kind that discriminate and discriminator_score share."""
+    arr = _check_query(value)
+    if d.kind == "one_nn":
+        return (d.labels[_nearest(d.values, arr)[0]],
+                _nearest(d.values[d.labels == -1], arr)[1]
+                - _nearest(d.values[d.labels == 1], arr)[1])
+    scores = (arr - d.threshold if d.kind == "dist"
+              else d.weight * (d.scale * arr) + d.intercept)
+    # dist and one_sv label by the sign of their score; a tie is +1
+    return np.where(scores < 0, -1, 1), scores
+
+
 def discriminate(d: Discriminator, value) -> np.ndarray:
     """-1 or +1 for each projected value, in the query's shape."""
-    if d.kind == "one_nn":
-        return d.labels[_nearest(d.values, _check_query(value))[0]]
-    # dist and one_sv label by the sign of their score; a tie is +1
-    return np.where(discriminator_score(d, value) < 0, -1, 1)
+    return _decide(d, value)[0]
 
 
 def discriminator_score(d: Discriminator, value) -> np.ndarray:
-    """A continuous stand-in for the hard label, positive toward +1, in
-    the query's shape."""
-    arr = _check_query(value)
-    if d.kind == "one_nn":
-        return (_nearest(d.values[d.labels == -1], arr)[1]
-                - _nearest(d.values[d.labels == 1], arr)[1])
-    if d.kind == "dist":
-        return arr - d.threshold
-    return d.weight * (d.scale * arr) + d.intercept
+    """A continuous stand-in for the hard label, positive toward +1."""
+    return _decide(d, value)[1]

@@ -49,6 +49,7 @@ from .lcc import (
     DEFAULT_LAMBDA,
     DEFAULT_SIGMA,
     Centralizer,
+    Classifier,
     FqccModel,
     LccModel,
     ParameterError,
@@ -222,7 +223,7 @@ kscore = KernelLccModel.score
 
 
 @dataclass(frozen=True)
-class Discriminated:
+class Discriminated(Classifier):
     """An lcc or klcc model whose midpoint rule is replaced by a rule
     fitted on its projected training values; projects once per call."""
 
@@ -237,11 +238,10 @@ class Discriminated:
     def n_features(self) -> int:
         return self.base.n_features
 
-    def score(self, X) -> np.ndarray:
-        return discriminator_score(self.rule, self.base.transform(X))
-
-    def predict(self, X) -> np.ndarray:
-        return discriminate(self.rule, self.base.transform(X))
+    def decide(self, X) -> tuple[np.ndarray, np.ndarray]:
+        projected = self.base.transform(X)
+        return (discriminate(self.rule, projected),
+                discriminator_score(self.rule, projected))
 
 
 @dataclass(frozen=True)

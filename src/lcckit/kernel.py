@@ -127,15 +127,14 @@ def assemble_klcc_lp(train: Dataset, spec: KernelSpec, lam: float,
 
     Exactly m + 1 rows and 2m variables.
     """
-    return _centralization_lp(gram(spec, train.features), train, lam,
-                              sigma)[0]
+    return _centralization_lp(lambda f: gram(spec, f), train, lam, sigma)[0]
 
 
 def train_klcc(train: Dataset, spec: KernelSpec,
                lam: float = DEFAULT_LAMBDA,
                sigma: float = DEFAULT_SIGMA) -> KernelLccModel:
     """Fit the kernel classifier by solving its linear program."""
-    problem, *centers = _centralization_lp(gram(spec, train.features), train,
+    problem, *centers = _centralization_lp(lambda f: gram(spec, f), train,
                                            lam, sigma)
     alphas, *projected, epsilons = _fitted(solve(problem), train.m, *centers,
                                            sigma)

@@ -13,7 +13,8 @@ linear program:
 with l = (C_neg + C_pos) / 2 and sigma < 0.  eps_i above sigma flags an
 instance inside the margin; eps_i above zero flags a misclassified one.
 The program is feasible exactly when |sigma| is at most the L1 gap
-||C_pos - C_neg||_1; kernel.train_klcc solves it over Gram rows.
+||C_pos - C_neg||_1; kernel.train_klcc solves it over Gram rows.  Every
+model labels and scores a row from one projection, in decide(X).
 
 The quadratic variant (train_fqcc) scores sides by absolute distance to
 each projected center instead of by the midpoint, which makes the problem
@@ -60,14 +61,15 @@ def _check_params(lam: float, sigma: float) -> None:
         raise ParameterError(f"sigma must be negative, got {sigma}")
 
 
-def _centralization_lp(coords: np.ndarray, train: Dataset, lam: float,
-                       sigma: float):
+def _centralization_lp(coords_of, train: Dataset, lam: float, sigma: float):
     """(problem, center_neg, center_pos): the separation LP over the m
-    rows of coords (features for lcc, Gram rows for klcc), with m instance
-    rows, one center-gap row and variables (k coefficients, m slacks),
-    and the class means of those rows it was built from."""
+    rows of coords_of(train.features) (features for lcc, Gram rows for
+    klcc), with m instance rows, one center-gap row and variables (k
+    coefficients, m slacks), and the class means of those rows; lam,
+    sigma and both classes are checked before coords_of runs."""
     _check_params(lam, sigma)
     require_both_classes(train, "the centralization program")
+    coords = coords_of(train.features)
     labels = train.labels
     center_neg = coords[labels == -1].mean(axis=0)
     center_pos = coords[labels == 1].mean(axis=0)
@@ -92,20 +94,27 @@ def assemble_lcc_lp(train: Dataset, lam: float, sigma: float) -> LpProblem:
     Variables are (beta_1..beta_n, eps_1..eps_m), so the program has
     exactly m + 1 rows and m + n columns.
     """
-    return _centralization_lp(train.features, train, lam, sigma)[0]
+    return _centralization_lp(np.asarray, train, lam, sigma)[0]
 
 
-class Centralizer:
-    """Rule shared by the lcc and klcc models: a row scores the distance
-    of its projection from the midpoint l_hat of the projected class
-    centers, and a score of exactly 0 labels +1."""
+class Classifier:
+    """decide(X) gives a model's labels in {-1, +1} and scores (positive
+    toward +1) from one projection; score and predict are its halves."""
 
     def score(self, X) -> np.ndarray:
-        """Signed distance of each projection from the midpoint."""
-        return self.transform(X) - self.l_hat
+        return self.decide(X)[1]
 
     def predict(self, X) -> np.ndarray:
-        return np.where(self.score(X) < 0, -1, 1)
+        return self.decide(X)[0]
+
+
+class Centralizer(Classifier):
+    """lcc and klcc: a row scores its projection minus the midpoint l_hat
+    of the projected class centers; a score of 0 or NaN labels +1."""
+
+    def decide(self, X) -> tuple[np.ndarray, np.ndarray]:
+        scores = self.transform(X) - self.l_hat
+        return np.where(scores < 0, -1, 1), scores
 
     @property
     def objective(self) -> float:
@@ -190,14 +199,14 @@ def train_lcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
     The slacks are the solver's own: recomputed from beta, as
     model_from_beta does, they can differ in the last bit.
     """
-    problem, *centers = _centralization_lp(train.features, train, lam, sigma)
+    problem, *centers = _centralization_lp(np.asarray, train, lam, sigma)
     beta, *projected, epsilons = _fitted(solve(problem), train.n, *centers,
                                          sigma)
     return LccModel(beta, *projected, float(lam), float(sigma), epsilons)
 
 
 @dataclass(frozen=True)
-class FqccModel:
+class FqccModel(Classifier):
     """A trained quadratic-criterion centralization classifier."""
 
     beta: np.ndarray
@@ -218,15 +227,12 @@ class FqccModel:
     def n_features(self) -> int:
         return self.beta.size
 
-    def score(self, X) -> np.ndarray:
-        """Positive when the projection sits closer to the +1 center."""
+    def decide(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Scores are positive nearer the +1 center; 0 labels -1, NaN +1."""
         projected = np.asarray(X, dtype=np.float64) @ self.beta
-        return (np.abs(projected - self.c_neg_hat)
-                - np.abs(projected - self.c_pos_hat))
-
-    def predict(self, X) -> np.ndarray:
-        """-1 when the projection is at least as close to the -1 center."""
-        return np.where(self.score(X) <= 0, -1, 1)
+        scores = (np.abs(projected - self.c_neg_hat)
+                  - np.abs(projected - self.c_pos_hat))
+        return np.where(scores <= 0, -1, 1), scores
 
 
 def fqcc_epsilons(projected: np.ndarray, labels: np.ndarray,

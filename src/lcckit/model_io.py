@@ -228,4 +228,4 @@ def predict_saved(saved: SavedClassifier,
         feats = feats[:, saved.kept_columns]
     if saved.normalizer is not None:
         feats = normalize_features(saved.normalizer, feats)
-    return saved.model.predict(feats), saved.model.score(feats)
+    return saved.model.decide(feats)

@@ -295,3 +295,18 @@ def test_rules_return_the_query_shape(kind, shape):
         np.ravel(labels), discriminate(d, np.ravel(query)))
     np.testing.assert_array_equal(
         np.ravel(scores), discriminator_score(d, np.ravel(query)))
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("dist", {}),
+    ("dist", {"threshold": 0.0, "weight": 3.0}),
+    ("one_nn", {"values": [1.0, 2.0]}),
+    ("one_nn", {"values": [1.0, 2.0], "labels": [-1, 1], "threshold": 0.0}),
+    ("one_sv", {"scale": 1.0, "weight": 1.0, "intercept": 0.0}),
+    ("one_sv", {"scale": 1.0, "weight": 1.0, "intercept": 0.0, "h": 10.0,
+                "values": [1.0]}),
+], ids=["dist-missing", "dist-extra", "one_nn-missing", "one_nn-extra",
+        "one_sv-missing", "one_sv-extra"])
+def test_discriminator_sets_exactly_its_kinds_fields(kind, fields):
+    with pytest.raises(DiscriminatorError, match="sets exactly"):
+        Discriminator(kind, **fields)

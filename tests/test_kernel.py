@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import lcckit.kernel
 from lcckit.data import (
+    DataError,
     Dataset,
     demo_gaussian_pair,
     fit_normalizer,
@@ -17,7 +19,7 @@ from lcckit.kernel import (
     median_pairwise_distance,
     train_klcc,
 )
-from lcckit.lcc import TrainingError, train_lcc
+from lcckit.lcc import ParameterError, TrainingError, train_lcc
 from lcckit.model_io import SavedClassifier, predict_saved
 
 
@@ -171,3 +173,21 @@ def test_infeasible_sigma_beyond_gram_row_gap():
 def test_kernel_eval_width_mismatch():
     with pytest.raises(TrainingError):
         kernel_eval(KernelSpec("linear"), np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("labels, lam, sigma, error", [
+    ([-1, -1, 1, 1], 2.0, 0.5, ParameterError),
+    ([-1, -1, 1, 1], 0.0, -0.01, ParameterError),
+    ([1, 1, 1, 1], 2.0, -0.01, DataError),
+], ids=["sigma", "lam", "one-class"])
+@pytest.mark.parametrize("build", [train_klcc, assemble_klcc_lp],
+                         ids=["train", "assemble"])
+def test_klcc_checks_before_the_gram_matrix(monkeypatch, build, labels, lam,
+                                            sigma, error):
+    def no_gram(*args):
+        raise AssertionError("the Gram matrix was built")
+
+    monkeypatch.setattr(lcckit.kernel, "gram", no_gram)
+    data = Dataset(np.array([[0.0], [1.0], [4.0], [5.0]]), labels)
+    with pytest.raises(error):
+        build(data, KernelSpec("rbf", 1.0), lam, sigma)
