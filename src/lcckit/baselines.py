@@ -1,6 +1,6 @@
 """Reference classifiers used in the benchmark comparisons: a regularized
-linear discriminant and a linear soft-margin SVM trained by stochastic
-subgradient descent.
+linear discriminant and a linear soft-margin SVM solved exactly by
+sequential minimal optimization; both are deterministic and take no seed.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from .lcc import Classifier, ParameterError, TrainingError
 
 DEFAULT_LDA_REG = 0.5
 DEFAULT_SVM_LAMBDA = 1.0
-DEFAULT_SVM_EPOCHS = 80
-POLISH_ROUNDS = 5
+SMO_TOLERANCE = 1e-9      # largest violating-pair gap accepted as optimal
+SMO_STEPS_PER_ROW = 1000  # step cap per training row
 
 
 @dataclass(frozen=True)
@@ -125,71 +125,48 @@ def hinge_objective(train: Dataset, lam: float, weight: np.ndarray,
                  + np.maximum(margins, 0.0).mean())
 
 
-def _polish(train: Dataset, lam: float, w: np.ndarray,
-            r: float) -> tuple[np.ndarray, float]:
-    """Alternating exact rescale of w and exact intercept refit.
+def train_linear_svm(train: Dataset,
+                     lam: float = DEFAULT_SVM_LAMBDA) -> SvmModel:
+    """Exact minimizer of lam ||w||^2 + mean hinge loss, free intercept.
 
-    Both subproblems are one-dimensional hinge sums, minimized by the
-    same breakpoint sweep the 1-D SVM uses.  Never increases the
-    objective, so best-so-far tracking stays monotone.
-    """
-    m = float(train.m)
-    labels = train.labels.astype(np.float64)
-    for _ in range(POLISH_ROUNDS):
-        proj = train.features @ w
-        quad = lam * float(w @ w)
-        if quad <= 0.0:
-            break
-        scale_c, _, _ = _sweep_min(quad, 1.0 - labels * r, -labels * proj, m)
-        w = w * scale_c
-        proj = proj * scale_c
-        r, _, _ = _sweep_min(0.0, 1.0 - labels * proj, -labels, m)
-    # the hinge sum is flat in r over an interval at the optimum; take its
-    # midpoint so separable data gets a boundary clear of the instances
-    return w, _sweep_min(0.0, 1.0 - labels * (train.features @ w), -labels,
-                         m)[2]
-
-
-def train_linear_svm(train: Dataset, lam: float = DEFAULT_SVM_LAMBDA,
-                     epochs: int = DEFAULT_SVM_EPOCHS,
-                     seed: int = 0) -> SvmModel:
-    """Stochastic subgradient descent on the averaged hinge objective.
-
-    One pass over a fresh shuffle per epoch with step 1 / (2 lam t).
-    The iterates of each epoch are averaged, polished by exact rescale
-    and intercept steps, and the best-scoring candidate is kept, so
-    adding epochs can only improve (or retain) the returned objective
-    for a fixed seed.
+    Sequential minimal optimization (Platt 1998) on the dual: alpha_i in
+    [0, 1/m], sum_i alpha_i y_i = 0, w = sum_i alpha_i y_i x_i / (2 lam).
+    Each step takes the maximal violating pair (Keerthi et al. 2001) and
+    moves it along y_i e_i - y_j e_j by the exact line minimizer, clipped
+    to the box.  The loop stops once the pair's gap is at most
+    SMO_TOLERANCE; after SMO_STEPS_PER_ROW * m steps it raises
+    TrainingError.  Memory is O(m + n): the dual matrix is never formed.
     """
     require_both_classes(train, "train_linear_svm")
-    if not lam > 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
-    if epochs < 1:
-        raise ParameterError("epochs must be at least 1")
-    rng = np.random.default_rng(seed)
-    m, n = train.m, train.n
-    w = np.zeros(n)
-    r = 0.0
-    best = (np.inf, w, r)
-    t = 0
-    for _ in range(epochs):
-        order = rng.permutation(m)
-        w_sum = np.zeros(n)
-        r_sum = 0.0
-        for i in order:
-            t += 1
-            step = 1.0 / (2.0 * lam * t)
-            x = train.features[i]
-            y = train.labels[i]
-            if y * (x @ w + r) < 1.0:
-                w = w - step * (2.0 * lam * w - y * x)
-                r = r + step * y
-            else:
-                w = w - step * 2.0 * lam * w
-            w_sum += w
-            r_sum += r
-        w_cand, r_cand = _polish(train, lam, w_sum / m, r_sum / m)
-        value = hinge_objective(train, lam, w_cand, r_cand)
-        if value < best[0]:
-            best = (value, w_cand, r_cand)
-    return SvmModel(best[1], best[2], float(lam))
+    if not 0.0 < lam < np.inf:
+        raise ParameterError(f"lam must be positive and finite, got {lam}")
+    X, m = train.features, train.m
+    y = train.labels.astype(np.float64)
+    box = 1.0 / m
+    alpha = np.zeros(m)
+    w = np.zeros(train.n)
+    for _ in range(SMO_STEPS_PER_ROW * m):
+        score = y - X @ w    # -y_t times the dual gradient
+        up = np.where(y > 0, alpha < box, alpha > 0.0)
+        low = np.where(y > 0, alpha > 0.0, alpha < box)
+        i = int(np.where(up, score, -np.inf).argmax())
+        j = int(np.where(low, score, np.inf).argmin())
+        gap = score[i] - score[j]
+        if gap <= SMO_TOLERANCE:
+            # the hinge sum is flat in r over an interval at the optimum;
+            # its midpoint keeps a separable boundary clear of the instances
+            r = _sweep_min(0.0, 1.0 - y * (X @ w), -y, float(m))[2]
+            return SvmModel(w, r, float(lam))
+        diff = X[i] - X[j]
+        moves = ((i, y[i]), (j, -y[j]))    # alpha_k moves by sign * step
+        rooms = [box - alpha[k] if sign > 0 else alpha[k]
+                 for k, sign in moves]
+        # curvature floored like LIBSVM's tau, so duplicate rows step too
+        step = min(gap / max(diff @ diff / (2.0 * lam), 1e-12), *rooms)
+        for (k, sign), room in zip(moves, rooms):
+            # a step that uses up the room lands exactly on the bound
+            alpha[k] = (box if sign > 0 else 0.0) if step >= room \
+                else alpha[k] + sign * step
+        w = w + step * diff / (2.0 * lam)
+    raise TrainingError(
+        f"SMO did not converge within {SMO_STEPS_PER_ROW * m} steps")

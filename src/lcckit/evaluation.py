@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +23,6 @@ from .baselines import (
     train_linear_svm,
 )
 from .data import (
-    DataError,
     Dataset,
     _frozen,
     apply_normalizer,
@@ -327,8 +326,7 @@ METHODS = {m.name: m for m in (
            lambda model, train: [
                f"shrinkage lambda_reg {model.lambda_reg:.6g}"]),
     Method("svm", SvmModel,
-           lambda train, p, seed: train_linear_svm(train, p["svm_lambda"],
-                                                   seed=seed),
+           lambda train, p, seed: train_linear_svm(train, p["svm_lambda"]),
            "lambda", "svm_lambda", GRID_SVM_LAMBDA, "svm_lambda", _svm_line),
 )}
 METHOD_NAMES = tuple(METHODS)
@@ -411,9 +409,13 @@ class BenchmarkConfig:
 
 
 def _normalized(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
-    """Both sides z-scored with training statistics only."""
+    """Both sides cut to the training side's non-constant columns and
+    z-scored with training statistics only."""
+    train, kept = drop_zero_variance(train)
     norm = fit_normalizer(train)
-    return apply_normalizer(norm, train), apply_normalizer(norm, test)
+    return (apply_normalizer(norm, train),
+            apply_normalizer(norm, Dataset(test.features[:, kept],
+                                           test.labels)))
 
 
 def _successes(records, name: str, attr: str) -> np.ndarray:
@@ -423,24 +425,24 @@ def _successes(records, name: str, attr: str) -> np.ndarray:
 
 
 # errors recorded as a failed fit; a ParameterError ends the procedure
-_FIT_ERRORS = (DataError, EvalError, ValueError, RuntimeError,
-               np.linalg.LinAlgError)
+_FIT_ERRORS = (ValueError, RuntimeError)
 
 
-def _run_once(method: Method, params: dict, train: Dataset, test: Dataset,
-              run: int, seed: int) -> RunRecord:
+def _attempt(method: Method, params: dict, train: Dataset, seed: int,
+             scored) -> tuple[float, list, str | None]:
+    """Fit once and take the AUC on each dataset in scored: (fit ms,
+    AUCs, None), or NaNs and the error when the fit or a score fails."""
     try:
         start = time.perf_counter()
         model = fit(method, train, params, seed)
         ms = (time.perf_counter() - start) * 1000.0
-        auc_tr = roc_auc(model.score(train.features), train.labels).auc
-        auc_te = roc_auc(model.score(test.features), test.labels).auc
+        return ms, [roc_auc(model.score(d.features), d.labels).auc
+                    for d in scored], None
     except ParameterError:
         raise
     except _FIT_ERRORS as exc:
-        return RunRecord(method.name, run, math.nan, math.nan, math.nan,
-                         f"{type(exc).__name__}: {exc}")
-    return RunRecord(method.name, run, auc_tr, auc_te, ms)
+        return (math.nan, [math.nan] * len(scored),
+                f"{type(exc).__name__}: {exc}")
 
 
 def _procedure_one(config: BenchmarkConfig, methods: list[Method],
@@ -451,8 +453,10 @@ def _procedure_one(config: BenchmarkConfig, methods: list[Method],
         train, test = _normalized(*stratified_split(config.data,
                                                     TRAIN_FRACTION, run_seed))
         for method in methods:
-            records.append(_run_once(method, config.params, train, test,
-                                     run, run_seed))
+            ms, (auc_tr, auc_te), error = _attempt(
+                method, config.params, train, run_seed, (train, test))
+            records.append(RunRecord(method.name, run, auc_tr, auc_te, ms,
+                                     error))
 
     attrs = ("train_auc", "test_auc", "train_ms")
     p_values: tuple = ({}, {}, {})   # train, test, time
@@ -482,17 +486,8 @@ def _procedure_two(config: BenchmarkConfig, methods: list[Method],
         best = None
         for value in method.grid:
             params = {**config.params, method.param_key: value}
-            fold_aucs = []
-            for train, test in splits:
-                try:
-                    model = fit(method, train, params, config.seed)
-                    auc = roc_auc(model.score(test.features),
-                                  test.labels).auc
-                except ParameterError:
-                    raise
-                except _FIT_ERRORS:
-                    auc = math.nan
-                fold_aucs.append(auc)
+            fold_aucs = [_attempt(method, params, train, config.seed,
+                                  (test,))[1][0] for train, test in splits]
             clean = [a for a in fold_aucs if not math.isnan(a)]
             mean_auc = sum(clean) / len(clean) if clean else -math.inf
             if best is None or mean_auc > best[0]:
@@ -521,12 +516,10 @@ def run_benchmark(config: BenchmarkConfig) -> EvalReport:
     if config.procedure not in (1, 2):
         raise EvalError(f"unknown procedure {config.procedure}")
     check_methods(config.methods, config.params)
-    data, _ = drop_zero_variance(config.data)
-    cfg = replace(config, data=data)
     methods = [METHODS[name] for name in config.methods]
     reference = "lcc" if "lcc" in config.methods else config.methods[0]
     procedure = _procedure_one if config.procedure == 1 else _procedure_two
-    return procedure(cfg, methods, reference)
+    return procedure(config, methods, reference)
 
 
 def aggregate_ranks(per_dataset_ranks) -> dict:

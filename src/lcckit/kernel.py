@@ -34,8 +34,8 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.rbf_width is None or not self.rbf_width > 0:
-                raise ParameterError("rbf kernel needs a positive rbf_width")
+            if self.rbf_width is None or not 0.0 < self.rbf_width < np.inf:
+                raise ParameterError("rbf_width must be positive and finite")
 
 
 def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:

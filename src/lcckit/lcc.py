@@ -55,10 +55,10 @@ def class_centers(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_params(lam: float, sigma: float) -> None:
-    if not lam > 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
-    if not sigma < 0:
-        raise ParameterError(f"sigma must be negative, got {sigma}")
+    if not 0.0 < lam < np.inf:
+        raise ParameterError(f"lam must be positive and finite, got {lam}")
+    if not -np.inf < sigma < 0.0:
+        raise ParameterError(f"sigma must be negative and finite, got {sigma}")
 
 
 def _centralization_lp(coords_of, train: Dataset, lam: float, sigma: float):

@@ -180,6 +180,24 @@ def test_bad_hyperparameter_values_exit_1(tmp_path, capsys, argv):
     assert not (out / "model.txt").exists()
 
 
+@pytest.mark.parametrize("method, flag, value, name", [
+    ("fqcc", "--lambda", "inf", "lam"),
+    ("fqcc", "--sigma", "-inf", "sigma"),
+    ("lcc", "--lambda", "inf", "lam"),
+    ("lcc", "--sigma", "-inf", "sigma"),
+    ("klcc", "--rbf-width", "inf", "rbf_width"),
+    ("svm", "--lambda", "inf", "lam"),
+])
+def test_non_finite_hyperparameter_exits_1(tmp_path, capsys, method, flag,
+                                           value, name):
+    out = tmp_path / "out"
+    assert main(["train", "--method", method, f"{flag}={value}",
+                 "--gen", "gaussian:m_per_class=30", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "lcckit train: error:" in err and name in err
+    assert not (out / "model.txt").exists()
+
+
 def test_predict_width_check_without_original_n(tmp_path, capsys):
     from lcckit.lcc import train_lcc
     from lcckit.model_io import SavedClassifier, save_classifier

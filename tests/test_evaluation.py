@@ -267,6 +267,37 @@ def test_prepare_split_normalizes_train_only():
     assert abs(test.features.mean(axis=0)).max() > 1e-6
 
 
+def _rare_column(seed):
+    """60 rows: two class-shifted Gaussian features plus a column that
+    is 1 on two rows and 0 elsewhere, so many training sides hold it
+    constant."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat([-1, 1], 30)
+    rare = np.zeros(60)
+    rare[rng.choice(60, 2, replace=False)] = 1.0
+    feats = np.column_stack([rng.normal(0.0, 1.0, (60, 2))
+                             + labels[:, None], rare])
+    return Dataset(feats, labels)
+
+
+@pytest.mark.parametrize("procedure", [1, 2])
+def test_column_constant_on_a_training_side_is_dropped(procedure):
+    for seed in range(20):
+        report = run_benchmark(BenchmarkConfig(
+            _rare_column(seed), ("lcc", "lda"), runs=5, folds=5, seed=seed,
+            procedure=procedure))
+        assert all(r.error is None for r in report.records), seed
+        assert all(g.best_auc > 0.5 for g in report.grid_records), seed
+
+
+def test_normalized_drops_the_training_sides_constant_columns():
+    train = Dataset([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], [-1, 1, 1])
+    test = Dataset([[4.0, 1.0]], [1])
+    train_n, test_n = _normalized(train, test)
+    assert train_n.n == test_n.n == 1
+    assert test_n.features[0, 0] == (4.0 - 2.0) / np.sqrt(2.0 / 3.0)
+
+
 def test_procedure_one_record_counts_and_shared_splits():
     ds = demo_gaussian_pair(m_per_class=20, seed=22)
     cfg = BenchmarkConfig(ds, ("lcc", "lda"), runs=4, seed=23)

@@ -1,11 +1,12 @@
 """The exact 1-D SVM and the linear SVM baseline return the recorded
 parameters to the bit.
 
-tests/data/svm_golden.json holds 50 inputs for each, written by an
-earlier build: tie-heavy, continuous and separable 1-D samples for
-`solve_svm_1d`, and the demo Gaussians, the four shapes and rounded
-random data for `train_linear_svm`.  Inputs are stored as JSON numbers
-(exact for float64), outputs with float.hex().
+tests/data/svm_golden.json holds 50 inputs for each: tie-heavy,
+continuous and separable 1-D samples for `solve_svm_1d`, and the demo
+Gaussians, the four shapes and rounded random data for
+`train_linear_svm`, whose outputs were recorded from the SMO solver.
+Inputs are stored as JSON numbers (exact for float64), outputs with
+float.hex().
 """
 
 import json
@@ -32,6 +33,6 @@ def test_train_linear_svm_matches_recorded_bits():
     for i, case in enumerate(GOLDEN["train_linear_svm"]):
         model = train_linear_svm(
             Dataset(np.array(case["features"]), np.array(case["labels"])),
-            lam=case["lam"], epochs=case["epochs"], seed=case["seed"])
+            lam=case["lam"])
         assert [float(x).hex() for x in model.weight] == case["weight"], i
         assert float(model.intercept).hex() == case["intercept"], i

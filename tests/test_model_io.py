@@ -84,7 +84,7 @@ def test_lda_round_trip_bit_exact(tmp_path):
 def test_svm_round_trip_bit_exact(tmp_path):
     data = demo_gaussian_pair(m_per_class=40, seed=11)
     ready, norm, kept, n = prepared(data)
-    model = train_linear_svm(ready, seed=11)
+    model = train_linear_svm(ready)
     saved = SavedClassifier(model, norm, kept, n)
     roundtrip(tmp_path, saved, data.features)
 
