@@ -18,8 +18,7 @@ from .data import (DataError, Dataset, Normalizer, SHAPE_NAMES,
                    projected_covariance)
 from .discriminators import (Discriminator, DiscriminatorError, KINDS,
                              discriminate, discriminator_score,
-                             fit_discriminator, solve_svm_1d,
-                             svm_1d_objective)
+                             fit_discriminator, solve_svm_1d)
 from .evaluation import (BenchmarkConfig, Discriminated, EvalError,
                          EvalReport, GridRecord, GRID_LDA_REG, GRID_SIGMA,
                          GRID_SVM_LAMBDA, Method, METHOD_NAMES, METHODS,
@@ -60,6 +59,6 @@ __all__ = [
     "normalize_features", "predict_saved", "projected_covariance",
     "rank_sum_test", "report_to_csv", "roc_auc", "run_benchmark",
     "save_classifier", "solve", "solve_svm_1d", "stratified_kfold",
-    "stratified_split", "summary_table", "svm_1d_objective", "train_fqcc",
+    "stratified_split", "summary_table", "train_fqcc",
     "train_klcc", "train_lcc", "train_lda", "train_linear_svm",
 ]

@@ -1,6 +1,7 @@
 """Reference classifiers used in the benchmark comparisons: a regularized
 linear discriminant and a linear soft-margin SVM solved exactly by
 sequential minimal optimization; both are deterministic and take no seed.
+The SVM also fits the discriminators' 1sv rule, at one feature.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _frozen, require_both_classes
-from .discriminators import _sweep_min
 from .lcc import Classifier, ParameterError, TrainingError
 
 DEFAULT_LDA_REG = 0.5
@@ -118,6 +118,50 @@ def train_lda(train: Dataset,
     return LdaModel(weight, k, float(lambda_reg))
 
 
+def _tie_groups(sorted_values: np.ndarray) -> np.ndarray:
+    """End index (exclusive) of each run of equal values."""
+    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1],
+                                    True)) + 1
+
+
+def _sweep_min(a: np.ndarray, b: np.ndarray,
+               scale: float) -> tuple[float, float, float]:
+    """Exact minimum of f(t) = sum_j max(0, a_j + b_j t) / scale.
+
+    One pass of array operations: the breakpoints -a_j/b_j are sorted
+    once, the active hinges' sums of a and b on every segment are one
+    cumsum read at the tie-group ends, and f is evaluated at each
+    distinct breakpoint with the sums of the segment to its left; of
+    equal minima the leftmost wins.  f is piecewise linear and the
+    caller must guarantee it grows in both directions (true whenever
+    both hinge slope signs occur); its minimum can then be flat over an
+    interval, spanned by the breakpoints within 1e-12 (relative) of the
+    minimum.  Returns (argmin, min value, midpoint of that interval).
+    """
+    const = float(a[(b == 0.0) & (a > 0.0)].sum())
+    a = a[b != 0.0]
+    b = b[b != 0.0]
+    if a.size == 0:
+        return 0.0, const / scale, 0.0
+    breaks = -a / b
+    order = np.argsort(breaks, kind="stable")
+    ts, aa, bb = breaks[order], a[order], b[order]
+    rising = bb > 0.0
+    ends = _tie_groups(ts)
+    seg = np.concatenate([[0], ends[:-1]])   # each breakpoint's left segment
+    seg_a = np.cumsum(np.concatenate([[float(aa[~rising].sum()) + const],
+                                      np.where(rising, aa, -aa)]))[seg]
+    seg_b = np.cumsum(np.concatenate([[float(bb[~rising].sum())],
+                                      np.abs(bb)]))[seg]
+    t = ts[seg]
+    v = (seg_a + seg_b * t) / scale
+    best = int(np.argmin(v))
+    flat = t[v <= v[best] + 1e-12 * (1.0 + abs(v[best]))]
+    # a breakpoint -0/b can be -0.0; adding 0.0 reports that zero as 0.0
+    mid = (flat[0] + flat[-1]) / 2.0 + 0.0
+    return float(t[best]), float(v[best]), float(mid)
+
+
 def hinge_objective(train: Dataset, lam: float, weight: np.ndarray,
                     intercept: float) -> float:
     margins = 1.0 - train.labels * (train.features @ weight + intercept)
@@ -155,7 +199,7 @@ def train_linear_svm(train: Dataset,
         if gap <= SMO_TOLERANCE:
             # the hinge sum is flat in r over an interval at the optimum;
             # its midpoint keeps a separable boundary clear of the instances
-            r = _sweep_min(0.0, 1.0 - y * (X @ w), -y, float(m))[2]
+            r = _sweep_min(1.0 - y * (X @ w), -y, float(m))[2]
             return SvmModel(w, r, float(lam))
         diff = X[i] - X[j]
         moves = ((i, y[i]), (j, -y[j]))    # alpha_k moves by sign * step

