@@ -5,11 +5,11 @@
 The file holds two parts:
 
 - "perfbench": the last JSON line of `perfbench/run.py`, kept as it is,
-  for every workload at every seed of --seeds, untraced at --seconds,
-  plus one traced (`--trace 1`) run per workload at seed 0;
+  for every workload at each of SEEDS, untraced at --seconds, plus one
+  traced (`--trace 1`) run per workload at seed 0;
 - "scale": the cases of CASES, each run in its own child process under
   a --budget second limit.  A case records the median and every time of
-  --repeats repeats, the solver iterations where the routine reports
+  REPEATS repeats, the solver iterations where the routine reports
   them, and the child's own peak RSS (RUSAGE_SELF; RUSAGE_CHILDREN would
   be a running maximum over every earlier case).  A case over budget
   is recorded with status "timeout" and the repeats it finished.
@@ -21,8 +21,7 @@ and nproc are recorded once.  lcckit is imported from the `src/`
 directory next to this one, so a copy of another commit records that
 commit.  A quick check of the script itself:
 
-    python3 bench/record.py --out /tmp/bench.json --seeds 0 --seconds 1 \\
-        --budget 20 --repeats 1 --no-trace
+    python3 bench/record.py --out /tmp/bench.json --seconds 1 --budget 3
 """
 
 from __future__ import annotations
@@ -47,6 +46,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("p1_gaussian", "p2_jain", "train_predict")
+SEEDS = (0, 1, 2)
+REPEATS = 3
 N_FEATURES = 10
 LAM, SIGMA = 2.0, -2.0 ** -7
 # case name -> (routine, rows)
@@ -88,12 +89,12 @@ def case_routine(routine: str, train):
     return lambda: lcc.train_fqcc(train, LAM, SIGMA)
 
 
-def run_case(name: str, repeats: int) -> None:
+def run_case(name: str) -> None:
     """Child process: one JSON line per finished repeat."""
     sys.path.insert(0, str(ROOT / "src"))
     routine, rows = CASES[name]
     once = case_routine(routine, scale_data(rows))
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         # only an LP solution reports its iterations
         iterations = getattr(once(), "iterations", None)
@@ -103,11 +104,10 @@ def run_case(name: str, repeats: int) -> None:
                           "peak_rss_mb": peak_mb}), flush=True)
 
 
-def measure_case(name: str, repeats: int, budget: float) -> dict:
+def measure_case(name: str, budget: float) -> dict:
     routine, rows = CASES[name]
     record = {"routine": routine, "rows": rows, "n": N_FEATURES}
-    argv = [sys.executable, __file__, "--case", name,
-            "--repeats", str(repeats)]
+    argv = [sys.executable, __file__, "--case", name]
     try:
         done = subprocess.run(argv, capture_output=True, text=True,
                               timeout=budget)
@@ -158,34 +158,26 @@ def versions() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", help="path of the JSON file to write")
-    parser.add_argument("--seeds", default="0,1,2",
-                        help="comma-separated seeds of the untraced runs")
     parser.add_argument("--seconds", type=int, default=30,
                         help="--seconds of each perfbench run")
-    parser.add_argument("--no-trace", action="store_true",
-                        help="skip the traced perfbench runs")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="repeats of each scale case")
     parser.add_argument("--budget", type=float, default=120.0,
                         help="seconds each scale case may take in all")
     parser.add_argument("--case", choices=list(CASES), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.case:
-        run_case(args.case, args.repeats)
+        run_case(args.case)
         return 0
     if not args.out:
         parser.error("--out is required")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     runs = [perfbench(w, s, args.seconds, 0) for w in WORKLOADS
-            for s in seeds]
-    if not args.no_trace:
-        runs += [perfbench(w, 0, args.seconds, 1) for w in WORKLOADS]
+            for s in SEEDS]
+    runs += [perfbench(w, 0, args.seconds, 1) for w in WORKLOADS]
     record = {"versions": versions(), "nproc": len(os.sched_getaffinity(0)),
-              "config": {"seeds": seeds, "seconds": args.seconds,
-                         "repeats": args.repeats, "budget_s": args.budget,
+              "config": {"seeds": list(SEEDS), "seconds": args.seconds,
+                         "repeats": REPEATS, "budget_s": args.budget,
                          "lam": LAM, "sigma": SIGMA},
               "perfbench": runs,
-              "scale": {name: measure_case(name, args.repeats, args.budget)
+              "scale": {name: measure_case(name, args.budget)
                         for name in CASES}}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -38,6 +38,7 @@ GEN_DEFAULT_M = 300
 GEN_DEFAULT_NOISE = 0.03
 GEN_DEFAULT_M_PER_CLASS = 200
 DEMO_BINS = 40
+PREDICT_BLOCK = 4096    # rows formatted per batch of Python numbers
 
 DISCRIMINATOR_FLAGS = {"dist": "dist", "1nn": "one_nn", "1sv": "one_sv"}
 
@@ -176,8 +177,8 @@ def cmd_predict(args) -> int:
         labels, scores = predict_saved(saved, feats)
         # Python numbers format faster than numpy scalars; a block at a
         # time keeps few of them alive, so the peak RSS does not grow
-        for start in range(0, labels.size, 4096):
-            block = slice(start, start + 4096)
+        for start in range(0, labels.size, PREDICT_BLOCK):
+            block = slice(start, start + PREDICT_BLOCK)
             out_lines += [f"{l},{s!r}" for l, s in
                           zip(labels[block].tolist(), scores[block].tolist())]
     text = "\n".join(out_lines) + "\n"

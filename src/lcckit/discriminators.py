@@ -13,7 +13,9 @@ The 1-D SVM minimizes
 
 which is the linear SVM baseline's objective at one feature, so
 solve_svm_1d hands the values to baselines.train_linear_svm as an
-(m, 1) column: exact SMO, with the intercept at the midpoint of the
+(m, 1) column.  SMO's answer names the optimum's margin set, from which
+w* is closed-form (two margin values fix the line; otherwise the
+violators' stationary point), and the intercept is the midpoint of the
 interval over which J(w*, .) is flat.
 """
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .baselines import train_linear_svm
+from .baselines import _sweep_min, hinge_objective, train_linear_svm
 from .data import Dataset, _frozen
 from .lcc import LccModel
 
@@ -90,7 +92,26 @@ def solve_svm_1d(values, labels, lam: float = 1.0) -> tuple[float, float]:
         # every threshold is equivalent; predict the majority class
         majority = 1.0 if np.sum(labels == 1) >= np.sum(labels == -1) else -1.0
         return 0.0, majority
-    model = train_linear_svm(Dataset(values[:, None], labels), lam)
+    train = Dataset(values[:, None], labels)
+    model = train_linear_svm(train, lam)
+    # SMO's running update leaves a few ulps in w; at one feature the
+    # optimum is closed-form once its margin set is known, so solve that
+    # set exactly and keep whichever answer scores lower
+    slack = labels * (model.weight[0] * values + model.intercept) - 1.0
+    edge = np.abs(slack) <= 1e-8
+    pos, neg = values[edge & (labels > 0)], values[edge & (labels < 0)]
+    if np.unique(values[edge]).size >= 2:
+        # two margin values fix the line; w = 0 when they share a label
+        w = 2.0 / (pos[0] - neg[0]) if pos.size and neg.size else 0.0
+    else:
+        # stationary: the violators' pull about the one margin value
+        pivot = values[edge][0] if edge.any() else 0.0
+        w = float(np.sum((labels * (values - pivot))[slack < -1e-8])
+                  / (2.0 * lam * values.size))
+    r = _sweep_min(1.0 - labels * w * values, -labels, float(values.size))[2]
+    if (hinge_objective(train, lam, np.array([w]), r)
+            <= hinge_objective(train, lam, model.weight, model.intercept)):
+        return w, r
     return float(model.weight[0]), model.intercept
 
 
@@ -101,7 +122,7 @@ def fit_discriminator(kind: str, values, labels,
     dist needs only the model's midpoint threshold.  one_nn memorizes the
     (value, label) pairs sorted by value.  one_sv rescales values by
     s = DEFAULT_H / (projected center gap) and solves the 1-D SVM at
-    lam=1 with the SVM baseline's SMO solver at one feature.
+    lam=1 with solve_svm_1d.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

@@ -6,6 +6,7 @@ import pytest
 from lcckit import baselines
 from lcckit.baselines import hinge_objective, train_lda, train_linear_svm
 from lcckit.data import Dataset, demo_gaussian_pair
+from lcckit.discriminators import solve_svm_1d
 from lcckit.evaluation import BenchmarkConfig, run_benchmark
 from lcckit.lcc import TrainingError
 
@@ -137,21 +138,19 @@ def tie_heavy_1d_problems(rng, count):
 
 
 def test_svm_1d_matches_enumeration_on_ties():
-    """SMO at one feature reaches the enumerated optimum to rounding on
-    tie-heavy and duplicate-row samples, and never hits its step cap.
-
-    SMO's running update of w carries a few ulps of rounding; where the
-    optimum is w = 0 exactly that leaves |w| near 1e-14 and the
-    objective up to 1.4e-14 (relative) above the optimum, as in case 52
-    of this set; most cases agree to 2.2e-16."""
+    """solve_svm_1d (SMO at one feature) reaches the enumerated optimum
+    to rounding on tie-heavy and duplicate-row samples, and SMO never
+    hits its step cap.  Case 52 of this set has its optimum at w = 0
+    exactly, where SMO's own w is about 1e-14."""
     for case, (v, y, lam) in enumerate(
             tie_heavy_1d_problems(np.random.default_rng(21), 60)):
         ds = Dataset(v[:, None], y)
-        model = train_linear_svm(ds, lam=lam)
-        ours = hinge_objective(ds, lam, model.weight, model.intercept)
+        train_linear_svm(ds, lam=lam)     # raises TrainingError at its cap
+        w, r = solve_svm_1d(v, y, lam)
+        ours = hinge_objective(ds, lam, np.array([w]), r)
         w_e, r_e = svm_1d_enumeration(v, y, lam)
         exact = hinge_objective(ds, lam, np.array([w_e]), r_e)
-        assert abs(ours - exact) <= 1e-13 * max(1.0, abs(exact)), \
+        assert abs(ours - exact) <= 1e-15 * max(1.0, abs(exact)), \
             (case, ours, exact)
 
 
