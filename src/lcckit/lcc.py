@@ -18,10 +18,10 @@ model labels and scores a row from one projection, in decide(X).
 
 The quadratic variant (train_fqcc) scores sides by absolute distance to
 each projected center instead of by the midpoint, which makes the problem
-non-linear; it is minimized by projected subgradient descent with random
-restarts.  Its per-instance slack has a closed form, so no explicit eps
-variables are needed, and each step takes the criterion's value and a
-subgradient from one projection of the rows.
+non-linear; it is minimized by projected subgradient descent from random
+restarts, stepped together as one batch.  Its per-instance slack has a
+closed form, so no explicit eps variables are needed, and each step takes
+every restart's value and subgradient from one projection of the rows.
 """
 
 from __future__ import annotations
@@ -239,67 +239,67 @@ def fqcc_epsilons(projected: np.ndarray, labels: np.ndarray,
                   c_neg_hat: float, c_pos_hat: float,
                   sigma: float) -> np.ndarray:
     """Closed-form per-instance slack of the distance-based criterion,
-    from each row's projected value."""
+    from projected values; (R, m) values take (R, 1) centers."""
     violation = labels * (np.abs(projected - c_pos_hat)
                           - np.abs(projected - c_neg_hat))
     return np.maximum(sigma, violation)
 
 
-def _fqcc_step(train: Dataset, beta: np.ndarray, center_neg: np.ndarray,
+def _fqcc_step(train: Dataset, B: np.ndarray, center_neg: np.ndarray,
                center_pos: np.ndarray, lam: float, sigma: float):
-    """(value, subgradient) of the distance-based criterion at beta."""
-    projected = train.features @ beta
-    c_neg_hat, c_pos_hat, _ = _projected_centers(beta, center_neg, center_pos)
-    eps = fqcc_epsilons(projected, train.labels, c_neg_hat, c_pos_hat, sigma)
-    value = float(-abs(c_neg_hat - c_pos_hat) + lam * eps.sum())
-    grad = -np.sign(c_neg_hat - c_pos_hat) * (center_neg - center_pos)
-    active = eps > sigma
-    if np.any(active):
-        signs_pos = np.sign(projected[active] - c_pos_hat)
-        signs_neg = np.sign(projected[active] - c_neg_hat)
-        rows = train.labels[active, None] * (
-            signs_pos[:, None] * (train.features[active] - center_pos)
-            - signs_neg[:, None] * (train.features[active] - center_neg))
-        grad = grad + lam * rows.sum(axis=0)
-    return value, grad
+    """(values, subgradients) of the distance-based criterion at each row
+    of the (R, n) batch B: R values and an (R, n) array."""
+    projected = B @ train.features.T
+    c_neg_hat, c_pos_hat = B @ center_neg, B @ center_pos
+    eps = fqcc_epsilons(projected, train.labels, c_neg_hat[:, None],
+                        c_pos_hat[:, None], sigma)
+    values = -np.abs(c_neg_hat - c_pos_hat) + lam * eps.sum(axis=1)
+    weights = train.labels * (eps > sigma)
+    to_pos = weights * np.sign(projected - c_pos_hat[:, None])
+    to_neg = weights * np.sign(projected - c_neg_hat[:, None])
+    grads = (np.outer(np.sign(c_pos_hat - c_neg_hat), center_neg - center_pos)
+             + lam * (to_pos @ (train.features - center_pos)
+                      - to_neg @ (train.features - center_neg)))
+    return values, grads
 
 
 def fqcc_objective(train: Dataset, beta: np.ndarray, lam: float,
                    sigma: float) -> float:
     """The distance-based criterion at beta."""
-    return _fqcc_step(train, beta, *class_centers(train), lam, sigma)[0]
+    return float(_fqcc_step(train, np.atleast_2d(beta), *class_centers(train),
+                            lam, sigma)[0][0])
 
 
 def train_fqcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
                sigma: float = DEFAULT_SIGMA, seed: int = 0) -> FqccModel:
     """Fit the distance-based variant by multi-start projected subgradient.
 
-    FQCC_RESTARTS starts of FQCC_ITERATIONS steps each: the first start is
-    the clipped center difference, the rest are seeded uniform draws from
-    the box.  The best iterate ever visited is returned.
+    FQCC_RESTARTS starts of FQCC_ITERATIONS steps each, stepped as one
+    batch: the first start is the clipped center difference, the rest are
+    seeded uniform draws from the box.  A restart stops once its
+    subgradient norm is below 1e-15.  The best iterate ever visited is
+    returned; of equal values the lowest start wins, then the earliest step.
     """
     _check_params(lam, sigma)
     require_both_classes(train, "train_fqcc")
-    center_neg, center_pos = class_centers(train)
-    rng = np.random.default_rng(seed)
-    starts = [np.clip(center_pos - center_neg, -1.0, 1.0)]
-    starts += [rng.uniform(-1.0, 1.0, train.n)
-               for _ in range(FQCC_RESTARTS - 1)]
-
-    best_beta, best_value = None, np.inf
-    for beta in starts:
-        for t in range(FQCC_ITERATIONS + 1):
-            value, grad = _fqcc_step(train, beta, center_neg, center_pos,
-                                     lam, sigma)
-            if value < best_value:
-                best_value, best_beta = value, beta
-            norm = float(np.linalg.norm(grad))
-            if t == FQCC_ITERATIONS or norm < 1e-15:
-                break
-            step = 0.5 / (norm * np.sqrt(t + 1.0))
-            beta = np.clip(beta - step * grad, -1.0, 1.0)
-
-    c_neg_hat, c_pos_hat, _ = _projected_centers(best_beta, center_neg,
-                                                 center_pos)
-    return FqccModel(best_beta, c_neg_hat, c_pos_hat, float(lam),
-                     float(sigma), best_value)
+    center_neg, center_pos = centers = class_centers(train)
+    B = np.vstack([np.clip(center_pos - center_neg, -1.0, 1.0),
+                   np.random.default_rng(seed).uniform(
+                       -1.0, 1.0, (FQCC_RESTARTS - 1, train.n))])
+    best_B, best_values = B.copy(), np.full(FQCC_RESTARTS, np.inf)
+    running = np.ones(FQCC_RESTARTS, dtype=bool)
+    for t in range(FQCC_ITERATIONS + 1):
+        values, grads = _fqcc_step(train, B, *centers, lam, sigma)
+        better = running & (values < best_values)
+        best_values[better], best_B[better] = values[better], B[better]
+        norms = np.linalg.norm(grads, axis=1)
+        running &= norms >= 1e-15
+        if t == FQCC_ITERATIONS or not running.any():
+            break
+        steps = np.divide(0.5, norms * np.sqrt(t + 1.0),
+                          out=np.zeros(FQCC_RESTARTS), where=running)
+        B = np.clip(B - steps[:, None] * grads, -1.0, 1.0)
+    best = int(np.argmin(best_values))
+    c_neg_hat, c_pos_hat, _ = _projected_centers(best_B[best], *centers)
+    return FqccModel(best_B[best], c_neg_hat, c_pos_hat, float(lam),
+                     float(sigma), float(best_values[best]))

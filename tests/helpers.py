@@ -5,8 +5,9 @@ enumeration for linear programs, pairwise counting for AUC, combination
 enumeration for the rank-sum null, grid refinement and candidate
 enumeration for the 1-D SVM, a breakpoint-by-breakpoint loop for the
 hinge sweep, a query-by-value distance matrix for the nearest stored
-value, and a row-by-row loop for the simplex crash basis.  None of them
-share code with the package under test.
+value, a row-by-row loop for the simplex crash basis, and one restart
+after another for the quadratic-criterion fit.  None of them share code
+with the package under test.
 """
 
 from __future__ import annotations
@@ -329,3 +330,54 @@ def one_nn_broadcast(values, labels, queries):
     return (labels[np.argmin(gaps, axis=1)],
             np.min(gaps[:, labels == -1], axis=1)
             - np.min(gaps[:, labels == 1], axis=1))
+
+
+def fqcc_serial_oracle(features, labels, lam, sigma, seed, restarts,
+                       iterations):
+    """(beta, value): the distance-based criterion minimized by projected
+    subgradient, one restart after another.
+
+    The first start is the clipped center difference, the others seeded
+    uniform draws from [-1, 1]^n.  Each takes up to `iterations` steps of
+    length 0.5 / (|g| sqrt(t + 1)), clipped to the box, and stops early
+    once |g| < 1e-15.  The first strict minimum over (start, step) wins.
+    """
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(labels)
+    center_neg = X[y == -1].mean(axis=0)
+    center_pos = X[y == 1].mean(axis=0)
+    from_neg, from_pos = X - center_neg, X - center_pos
+
+    def value_and_subgradient(beta):
+        projected = X @ beta
+        c_neg = float(center_neg @ beta)
+        c_pos = float(center_pos @ beta)
+        eps = np.maximum(sigma, y * (np.abs(projected - c_pos)
+                                     - np.abs(projected - c_neg)))
+        value = float(-abs(c_neg - c_pos) + lam * eps.sum())
+        grad = -np.sign(c_neg - c_pos) * (center_neg - center_pos)
+        active = eps > sigma
+        if active.any():
+            inside = projected[active]
+            rows = y[active, None] * (
+                np.sign(inside - c_pos)[:, None] * from_pos[active]
+                - np.sign(inside - c_neg)[:, None] * from_neg[active])
+            grad = grad + lam * rows.sum(axis=0)
+        return value, grad
+
+    rng = np.random.default_rng(seed)
+    starts = [np.clip(center_pos - center_neg, -1.0, 1.0)]
+    starts += [rng.uniform(-1.0, 1.0, X.shape[1])
+               for _ in range(restarts - 1)]
+    best_beta, best_value = None, math.inf
+    for beta in starts:
+        for t in range(iterations + 1):
+            value, grad = value_and_subgradient(beta)
+            if value < best_value:
+                best_value, best_beta = value, beta
+            norm = math.sqrt(grad @ grad)
+            if t == iterations or norm < 1e-15:
+                break
+            beta = np.clip(beta - 0.5 / (norm * math.sqrt(t + 1.0)) * grad,
+                           -1.0, 1.0)
+    return best_beta, best_value

@@ -4,8 +4,11 @@ tests/data/fqcc_golden.json holds ten small datasets (the demo Gaussians,
 1-D, 3-D and 4-D Gaussian pairs, the four shapes, rounded random data and
 a 4-point toy) and, for each, `train_fqcc` at two lams and two sigmas with
 its own seed, plus `fqcc_objective` at 20 fixed projections.  It was
-written by an earlier build.  Inputs are stored as JSON numbers (exact for
-float64), outputs with float.hex().
+written by an earlier build that ran the restarts one after another; the
+`train_fqcc` entries were re-recorded once the restarts stepped as one
+batch, after that batch was checked against the serial loop kept in
+tests/helpers.py.  Inputs are stored as JSON numbers (exact for float64),
+outputs with float.hex().
 """
 
 import json
@@ -14,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from lcckit.data import Dataset
-from lcckit.lcc import fqcc_objective, train_fqcc
+from lcckit.lcc import (FQCC_ITERATIONS, FQCC_RESTARTS, fqcc_objective,
+                        train_fqcc)
+from tests.helpers import fqcc_serial_oracle
 
 GOLDEN = json.loads((Path(__file__).parent / "data"
                      / "fqcc_golden.json").read_text())
@@ -37,3 +42,16 @@ def test_fqcc_objective_matches_recorded_bits():
         value = fqcc_objective(DATASETS[case["data"]], np.array(case["beta"]),
                                case["lam"], case["sigma"])
         assert float(value).hex() == case["value"], i
+
+
+def test_train_fqcc_no_worse_than_serial_oracle():
+    # the restarts step as one batch, whose matrix products round
+    # differently from one restart at a time; the fit may land elsewhere
+    # but never above the serial loop's best by more than rounding
+    for i, case in enumerate(GOLDEN["train_fqcc"]):
+        data = DATASETS[case["data"]]
+        model = train_fqcc(data, case["lam"], case["sigma"], seed=case["seed"])
+        _, value = fqcc_serial_oracle(data.features, data.labels, case["lam"],
+                                      case["sigma"], case["seed"],
+                                      FQCC_RESTARTS, FQCC_ITERATIONS)
+        assert model.objective <= value + 1e-12 * max(1.0, abs(value)), i

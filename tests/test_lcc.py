@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from lcckit.data import Dataset, demo_gaussian_pair
 from lcckit.lcc import (
     DEFAULT_LAMBDA,
     DEFAULT_SIGMA,
+    FQCC_ITERATIONS,
+    FQCC_RESTARTS,
     TrainingError,
     assemble_lcc_lp,
     class_centers,
@@ -14,6 +18,7 @@ from lcckit.lcc import (
     train_fqcc,
     train_lcc,
 )
+from tests.helpers import fqcc_serial_oracle
 
 
 def toy_1d():
@@ -175,6 +180,23 @@ def test_fqcc_trains_and_descends():
     start = np.clip(class_centers(ds)[1] - class_centers(ds)[0], -1.0, 1.0)
     assert model.objective <= fqcc_objective(ds, start, model.lam,
                                              model.sigma) + 1e-12
+
+
+def test_fqcc_equal_centers_stop_at_the_first_start():
+    # equal class centers: the first start is beta = 0, every projected
+    # center gap is 0 and so is every subgradient, so each restart stops
+    # at step 0 with value 0, and the tie goes to the first start
+    ds = Dataset([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                 [-1, -1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_fqcc(ds, seed=4)
+    beta, value = fqcc_serial_oracle(ds.features, ds.labels, DEFAULT_LAMBDA,
+                                     DEFAULT_SIGMA, 4, FQCC_RESTARTS,
+                                     FQCC_ITERATIONS)
+    np.testing.assert_array_equal(model.beta, [0.0, 0.0])
+    np.testing.assert_array_equal(model.beta, beta)
+    assert model.objective == value == 0.0
 
 
 def test_fqcc_predicts_demo_pair():
