@@ -11,6 +11,7 @@ tests/helpers.py.  Inputs are stored as JSON numbers (exact for float64),
 outputs with float.hex().
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -27,10 +28,17 @@ DATASETS = {name: Dataset(np.array(d["features"]), np.array(d["labels"]))
             for name, d in GOLDEN["datasets"].items()}
 
 
+@functools.cache
+def fitted(i):
+    """train_fqcc on the i-th recorded input, fitted once for both tests."""
+    case = GOLDEN["train_fqcc"][i]
+    return train_fqcc(DATASETS[case["data"]], case["lam"], case["sigma"],
+                      seed=case["seed"])
+
+
 def test_train_fqcc_matches_recorded_bits():
     for i, case in enumerate(GOLDEN["train_fqcc"]):
-        model = train_fqcc(DATASETS[case["data"]], case["lam"],
-                           case["sigma"], seed=case["seed"])
+        model = fitted(i)
         assert [float(b).hex() for b in model.beta] == case["beta"], i
         assert [float(model.c_neg_hat).hex(), float(model.c_pos_hat).hex(),
                 float(model.objective).hex()] == \
@@ -50,8 +58,7 @@ def test_train_fqcc_no_worse_than_serial_oracle():
     # but never above the serial loop's best by more than rounding
     for i, case in enumerate(GOLDEN["train_fqcc"]):
         data = DATASETS[case["data"]]
-        model = train_fqcc(data, case["lam"], case["sigma"], seed=case["seed"])
         _, value = fqcc_serial_oracle(data.features, data.labels, case["lam"],
                                       case["sigma"], case["seed"],
                                       FQCC_RESTARTS, FQCC_ITERATIONS)
-        assert model.objective <= value + 1e-12 * max(1.0, abs(value)), i
+        assert fitted(i).objective <= value + 1e-12 * max(1.0, abs(value)), i
