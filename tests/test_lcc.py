@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lcckit import lcc
 from lcckit.data import Dataset, demo_gaussian_pair
 from lcckit.lcc import (
     DEFAULT_LAMBDA,
@@ -197,6 +198,27 @@ def test_fqcc_equal_centers_stop_at_the_first_start():
     np.testing.assert_array_equal(model.beta, [0.0, 0.0])
     np.testing.assert_array_equal(model.beta, beta)
     assert model.objective == value == 0.0
+
+
+def test_fqcc_stopped_restart_keeps_its_iterate(monkeypatch):
+    # restart 2's subgradient is forced below the 1e-15 stop: it stops at
+    # step 0 and keeps its start, while the seeded starts inside the box
+    # step on
+    real_step, seen = lcc._fqcc_step, []
+
+    def step(train, B, *args):
+        seen.append(B.copy())
+        values, grads = real_step(train, B, *args)
+        grads[2] = 1e-17
+        return values, grads
+
+    monkeypatch.setattr(lcc, "_fqcc_step", step)
+    train_fqcc(demo_gaussian_pair(m_per_class=20, seed=3), seed=1)
+    assert len(seen) == FQCC_ITERATIONS + 1
+    for B in seen[1:]:
+        np.testing.assert_array_equal(B[2], seen[0][2])
+    others = [r for r in range(1, FQCC_RESTARTS) if r != 2]
+    assert np.all(np.any(seen[1][others] != seen[0][others], axis=1))
 
 
 def test_fqcc_predicts_demo_pair():
