@@ -8,7 +8,10 @@ The file holds two parts:
   for every workload at each of SEEDS, untraced at --seconds, plus one
   traced (`--trace 1`) run per workload at seed 0;
 - "scale": the cases of CASES, each run in its own child process under
-  a --budget second limit.  A case records the median and every time of
+  a --budget second limit.  klcc_path_m400 is procedure 2's sigma chain
+  for klcc: the 15 grid sigmas from the most negative, RBF median width,
+  each solve warm-started from the last optimum; its iterations are the
+  sum over the 15 solves.  A case records the median and every time of
   REPEATS repeats, the solver iterations where the routine reports
   them, and the child's own peak RSS (RUSAGE_SELF; RUSAGE_CHILDREN would
   be a running maximum over every earlier case).  A case over budget
@@ -40,6 +43,7 @@ import statistics
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +62,7 @@ CASES = {
     "one_sv_m6400": ("one_sv", 6400),
     "svm_m1600": ("svm", 1600),
     "fqcc_m1600": ("fqcc", 1600),
+    "klcc_path_m400": ("klcc_path", 400),
 }
 
 
@@ -86,7 +91,31 @@ def case_routine(routine: str, train):
             "one_sv", values, train.labels, model)
     if routine == "svm":
         return lambda: baselines.train_linear_svm(train)
+    if routine == "klcc_path":
+        from lcckit import kernel
+        spec = kernel.KernelSpec(
+            "rbf", kernel.median_pairwise_distance(train.features))
+        return lambda: klcc_chain(train, spec)
     return lambda: lcc.train_fqcc(train, LAM, SIGMA)
+
+
+def klcc_chain(train, spec):
+    """Fit klcc at every grid sigma as procedure 2 does; the result's
+    iterations are the summed pivots of the 15 solves."""
+    from lcckit import evaluation, kernel, lcc
+    solutions, real = [], kernel.solve
+    kernel.solve = lambda *args: solutions.append(real(*args)) or solutions[-1]
+    try:
+        fit = kernel.klcc_path(train, spec, LAM)
+        for sigma in sorted(evaluation.GRID_SIGMA):
+            try:
+                fit(sigma)
+            except lcc.TrainingError:  # no projection reaches |sigma|
+                pass
+    finally:
+        kernel.solve = real
+    return types.SimpleNamespace(
+        iterations=sum(s.iterations for s in solutions))
 
 
 def run_case(name: str) -> None:

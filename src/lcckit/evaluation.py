@@ -6,6 +6,7 @@ and per-method grid search over 10-fold cross validation).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ from .discriminators import (
 from .kernel import (
     KernelLccModel,
     KernelSpec,
+    klcc_path,
     median_pairwise_distance,
     train_klcc,
 )
@@ -53,6 +55,7 @@ from .lcc import (
     LccModel,
     ParameterError,
     fqcc_epsilons,
+    lcc_path,
     train_fqcc,
     train_lcc,
 )
@@ -255,6 +258,9 @@ class Method:
     grid: tuple
     lam_key: str       # the params key that --lambda sets
     summary: object    # (model, train) -> the lines `lcckit train` prints
+    # (train, params with defaults filled in) -> fit(grid value): procedure
+    # 2's fits on one fold as one chain; None fits each value on its own
+    path: object = None
 
 
 # every params key, with the value an absent key takes
@@ -264,12 +270,11 @@ PARAM_DEFAULTS = {"lam": DEFAULT_LAMBDA, "sigma": DEFAULT_SIGMA,
                   "svm_lambda": DEFAULT_SVM_LAMBDA}
 
 
-def _fit_klcc(train: Dataset, p: dict, seed: int) -> KernelLccModel:
+def _kernel_spec(train: Dataset, p: dict) -> KernelSpec:
     kernel, width = p["kernel"], p["rbf_width"]
     if kernel == "rbf" and width is None:
         width = median_pairwise_distance(train.features)
-    spec = KernelSpec(kernel, width if kernel == "rbf" else None)
-    return train_klcc(train, spec, p["lam"], p["sigma"])
+    return KernelSpec(kernel, width if kernel == "rbf" else None)
 
 
 def _centralizer_summary(slacks, extra=lambda model: []):
@@ -310,16 +315,21 @@ METHODS = {m.name: m for m in (
     Method("lcc", LccModel,
            lambda train, p, seed: train_lcc(train, p["lam"], p["sigma"]),
            "sigma", "sigma", GRID_SIGMA, "lam",
-           _centralizer_summary(lambda model, train: model.epsilons)),
+           _centralizer_summary(lambda model, train: model.epsilons),
+           lambda train, p: lcc_path(train, p["lam"])),
     Method("fqcc", FqccModel,
            lambda train, p, seed: train_fqcc(train, p["lam"], p["sigma"],
                                              seed=seed),
            "sigma", "sigma", GRID_SIGMA, "lam",
            _centralizer_summary(_fqcc_slacks)),
-    Method("klcc", KernelLccModel, _fit_klcc,
+    Method("klcc", KernelLccModel,
+           lambda train, p, seed: train_klcc(train, _kernel_spec(train, p),
+                                             p["lam"], p["sigma"]),
            "sigma", "sigma", GRID_SIGMA, "lam",
            _centralizer_summary(lambda model, train: model.epsilons,
-                                _kernel_line)),
+                                _kernel_line),
+           lambda train, p: klcc_path(train, _kernel_spec(train, p),
+                                      p["lam"])),
     Method("lda", LdaModel,
            lambda train, p, seed: train_lda(train, p["lambda_reg"]),
            "lambda_reg", "lambda_reg", GRID_LDA_REG, "lambda_reg",
@@ -355,7 +365,10 @@ def fit(method: Method, train: Dataset, params: dict, seed: int):
     """Train one method; with a discriminator in params, the model comes
     back wrapped with a rule fitted on its projected training values."""
     p = {**PARAM_DEFAULTS, **params}
-    model = method.trainer(train, p, seed)
+    return _with_rule(method.trainer(train, p, seed), train, p)
+
+
+def _with_rule(model, train: Dataset, p: dict):
     if p["discriminator"] is None:
         return model
     rule = fit_discriminator(p["discriminator"],
@@ -428,13 +441,12 @@ def _successes(records, name: str, attr: str) -> np.ndarray:
 _FIT_ERRORS = (ValueError, RuntimeError)
 
 
-def _attempt(method: Method, params: dict, train: Dataset, seed: int,
-             scored) -> tuple[float, list, str | None]:
-    """Fit once and take the AUC on each dataset in scored: (fit ms,
-    AUCs, None), or NaNs and the error when the fit or a score fails."""
+def _attempt(make, scored) -> tuple[float, list, str | None]:
+    """Fit once by make() and take the AUC on each dataset in scored: (fit
+    ms, AUCs, None), or NaNs and the error when the fit or a score fails."""
     try:
         start = time.perf_counter()
-        model = fit(method, train, params, seed)
+        model = make()
         ms = (time.perf_counter() - start) * 1000.0
         return ms, [roc_auc(model.score(d.features), d.labels).auc
                     for d in scored], None
@@ -454,7 +466,8 @@ def _procedure_one(config: BenchmarkConfig, methods: list[Method],
                                                     TRAIN_FRACTION, run_seed))
         for method in methods:
             ms, (auc_tr, auc_te), error = _attempt(
-                method, config.params, train, run_seed, (train, test))
+                lambda: fit(method, train, config.params, run_seed),
+                (train, test))
             records.append(RunRecord(method.name, run, auc_tr, auc_te, ms,
                                      error))
 
@@ -475,19 +488,37 @@ def _ranks_from_scores(scores: dict) -> dict:
     return {name: float(rank - 1.0) for name, rank in zip(scores, ranks)}
 
 
+def _grid_aucs(method: Method, p: dict, train: Dataset, test: Dataset,
+               seed: int) -> list:
+    """The held-out AUC at each grid value, in grid order, fitted from the
+    smallest value up: lcc and klcc as one chain (Method.path)."""
+    path = functools.cache(lambda: method.path(train, p))
+
+    def fit_at(value):
+        if method.path is None:
+            return fit(method, train, {**p, method.param_key: value}, seed)
+        return _with_rule(path()(value), train, p)
+
+    aucs = {value: _attempt(lambda: fit_at(value), (test,))[1][0]
+            for value in sorted(method.grid)}
+    return [aucs[value] for value in method.grid]
+
+
 def _procedure_two(config: BenchmarkConfig, methods: list[Method],
                    reference: str) -> EvalReport:
     data = config.data
-    splits = [_normalized(data.take(np.delete(np.arange(data.m), held)),
-                          data.take(held))
-              for held in stratified_kfold(data, config.folds, config.seed)]
+    p = {**PARAM_DEFAULTS, **config.params}
+    tables = {method.name: [] for method in methods}  # [fold][grid value]
+    for held in stratified_kfold(data, config.folds, config.seed):
+        train, test = _normalized(
+            data.take(np.delete(np.arange(data.m), held)), data.take(held))
+        for method in methods:
+            tables[method.name].append(
+                _grid_aucs(method, p, train, test, config.seed))
     grid_records = []
     for method in methods:
         best = None
-        for value in method.grid:
-            params = {**config.params, method.param_key: value}
-            fold_aucs = [_attempt(method, params, train, config.seed,
-                                  (test,))[1][0] for train, test in splits]
+        for value, fold_aucs in zip(method.grid, zip(*tables[method.name])):
             clean = [a for a in fold_aucs if not math.isnan(a)]
             mean_auc = sum(clean) / len(clean) if clean else -math.inf
             if best is None or mean_auc > best[0]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, _frozen
 from .lcc import (DEFAULT_LAMBDA, DEFAULT_SIGMA, Centralizer, ParameterError,
-                  TrainingError, _centralization_lp, _fitted)
+                  TrainingError, _centralization_lp, _centralization_path)
 from .lp import LpProblem, solve
 
 KERNEL_KINDS = ("linear", "rbf")
@@ -130,13 +130,18 @@ def assemble_klcc_lp(train: Dataset, spec: KernelSpec, lam: float,
     return _centralization_lp(lambda f: gram(spec, f), train, lam, sigma)[0]
 
 
+def klcc_path(train: Dataset, spec: KernelSpec,
+              lam: float = DEFAULT_LAMBDA):
+    """fit(sigma) -> KernelLccModel on train, from one Gram matrix, as
+    lcc._centralization_path warm-starts it."""
+    return _centralization_path(
+        lambda f: gram(spec, f), train, lam, solve,
+        lambda alphas, *rest: KernelLccModel(spec.kind, spec.rbf_width,
+                                             alphas, train.features, *rest))
+
+
 def train_klcc(train: Dataset, spec: KernelSpec,
                lam: float = DEFAULT_LAMBDA,
                sigma: float = DEFAULT_SIGMA) -> KernelLccModel:
     """Fit the kernel classifier by solving its linear program."""
-    problem, *centers = _centralization_lp(lambda f: gram(spec, f), train,
-                                           lam, sigma)
-    alphas, *projected, epsilons = _fitted(solve(problem), train.m, *centers,
-                                           sigma)
-    return KernelLccModel(spec.kind, spec.rbf_width, alphas, train.features,
-                          *projected, float(lam), float(sigma), epsilons)
+    return klcc_path(train, spec, lam)(sigma)

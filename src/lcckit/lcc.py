@@ -26,12 +26,13 @@ every restart's value and subgradient from one projection of the rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, _frozen, require_both_classes
-from .lp import LpProblem, LpSolution, solve
+from .lp import LpProblem, solve
 
 DEFAULT_LAMBDA = 2.0
 DEFAULT_SIGMA = -0.01
@@ -174,22 +175,42 @@ def model_from_beta(train: Dataset, beta: np.ndarray, lam: float,
                     float(sigma), epsilons)
 
 
-def _fitted(solution: LpSolution, k: int, center_neg: np.ndarray,
-            center_pos: np.ndarray, sigma: float):
-    """(coefficients, c_neg_hat, c_pos_hat, l_hat, slacks) of a solved
-    centralization program with k coefficients and the given centers."""
-    if solution.status == "infeasible":
-        gap = float(np.abs(center_pos - center_neg).sum())
-        raise TrainingError(
-            f"no projection can separate the class centers by |sigma|="
-            f"{-sigma:g}: classes have (near-)identical centers or |sigma| "
-            f"exceeds the center gap bound (L1 gap {gap:g} < {-sigma:g})")
-    if solution.status != "optimal":
-        raise TrainingError(f"unexpected solver status {solution.status!r}")
-    coefficients = solution.x[:k]
-    return (coefficients,
-            *_projected_centers(coefficients, center_neg, center_pos),
+def _centralization_path(coords_of, train: Dataset, lam: float, solve,
+                         model):
+    """fit(sigma) -> model(coefficients, c_neg_hat, c_pos_hat, l_hat, lam,
+    sigma, slacks) over the rows of coords_of(train.features), built once.
+    Each solve starts from the last optimal one: sigma moves only b and the
+    bounds, so its basis stays dual feasible for the dual simplex."""
+    coords = functools.cache(lambda: coords_of(train.features))
+    start = None
+
+    def fit(sigma: float):
+        nonlocal start
+        problem, center_neg, center_pos = _centralization_lp(
+            lambda _: coords(), train, lam, sigma)
+        solution = solve(problem, start)
+        if solution.status == "infeasible":
+            gap = float(np.abs(center_pos - center_neg).sum())
+            raise TrainingError(
+                f"no projection can separate the class centers by |sigma|="
+                f"{-sigma:g}: classes have (near-)identical centers or "
+                f"|sigma| exceeds the center gap bound (L1 gap {gap:g} < "
+                f"{-sigma:g})")
+        if solution.status != "optimal":
+            raise TrainingError(
+                f"unexpected solver status {solution.status!r}")
+        start, k = solution, problem.num_vars - train.m
+        coefficients = solution.x[:k]
+        return model(coefficients, *_projected_centers(
+            coefficients, center_neg, center_pos), float(lam), float(sigma),
             solution.x[k:])
+    return fit
+
+
+def lcc_path(train: Dataset, lam: float = DEFAULT_LAMBDA):
+    """fit(sigma) -> LccModel on train, warm-started as
+    _centralization_path says."""
+    return _centralization_path(np.asarray, train, lam, solve, LccModel)
 
 
 def train_lcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
@@ -199,10 +220,7 @@ def train_lcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
     The slacks are the solver's own: recomputed from beta, as
     model_from_beta does, they can differ in the last bit.
     """
-    problem, *centers = _centralization_lp(np.asarray, train, lam, sigma)
-    beta, *projected, epsilons = _fitted(solve(problem), train.n, *centers,
-                                         sigma)
-    return LccModel(beta, *projected, float(lam), float(sigma), epsilons)
+    return lcc_path(train, lam)(sigma)
 
 
 @dataclass(frozen=True)
@@ -245,10 +263,17 @@ def fqcc_epsilons(projected: np.ndarray, labels: np.ndarray,
     return np.maximum(sigma, violation)
 
 
-def _fqcc_step(train: Dataset, B: np.ndarray, center_neg: np.ndarray,
-               center_pos: np.ndarray, lam: float, sigma: float):
+def _fqcc_frame(train: Dataset) -> tuple:
+    """The class centers, then the rows less each: what every step reuses."""
+    centers = class_centers(train)
+    return (*centers, *(train.features - center for center in centers))
+
+
+def _fqcc_step(train: Dataset, B: np.ndarray, frame: tuple, lam: float,
+               sigma: float):
     """(values, subgradients) of the distance-based criterion at each row
     of the (R, n) batch B: R values and an (R, n) array."""
+    center_neg, center_pos, from_neg, from_pos = frame
     projected = B @ train.features.T
     c_neg_hat, c_pos_hat = B @ center_neg, B @ center_pos
     eps = fqcc_epsilons(projected, train.labels, c_neg_hat[:, None],
@@ -258,15 +283,14 @@ def _fqcc_step(train: Dataset, B: np.ndarray, center_neg: np.ndarray,
     to_pos = weights * np.sign(projected - c_pos_hat[:, None])
     to_neg = weights * np.sign(projected - c_neg_hat[:, None])
     grads = (np.outer(np.sign(c_pos_hat - c_neg_hat), center_neg - center_pos)
-             + lam * (to_pos @ (train.features - center_pos)
-                      - to_neg @ (train.features - center_neg)))
+             + lam * (to_pos @ from_pos - to_neg @ from_neg))
     return values, grads
 
 
 def fqcc_objective(train: Dataset, beta: np.ndarray, lam: float,
                    sigma: float) -> float:
     """The distance-based criterion at beta."""
-    return float(_fqcc_step(train, np.atleast_2d(beta), *class_centers(train),
+    return float(_fqcc_step(train, np.atleast_2d(beta), _fqcc_frame(train),
                             lam, sigma)[0][0])
 
 
@@ -282,24 +306,24 @@ def train_fqcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
     """
     _check_params(lam, sigma)
     require_both_classes(train, "train_fqcc")
-    center_neg, center_pos = centers = class_centers(train)
+    center_neg, center_pos, *_ = frame = _fqcc_frame(train)
     B = np.vstack([np.clip(center_pos - center_neg, -1.0, 1.0),
                    np.random.default_rng(seed).uniform(
                        -1.0, 1.0, (FQCC_RESTARTS - 1, train.n))])
     best_B, best_values = B.copy(), np.full(FQCC_RESTARTS, np.inf)
     running = np.ones(FQCC_RESTARTS, dtype=bool)
     for t in range(FQCC_ITERATIONS + 1):
-        values, grads = _fqcc_step(train, B, *centers, lam, sigma)
+        values, grads = _fqcc_step(train, B, frame, lam, sigma)
         better = running & (values < best_values)
         best_values[better], best_B[better] = values[better], B[better]
-        norms = np.linalg.norm(grads, axis=1)
+        norms = np.sqrt(np.sum(grads * grads, axis=1))
         running &= norms >= 1e-15
         if t == FQCC_ITERATIONS or not running.any():
             break
         steps = np.divide(0.5, norms * np.sqrt(t + 1.0),
                           out=np.zeros(FQCC_RESTARTS), where=running)
-        B = np.clip(B - steps[:, None] * grads, -1.0, 1.0)
+        B = np.minimum(np.maximum(B - steps[:, None] * grads, -1.0), 1.0)
     best = int(np.argmin(best_values))
-    c_neg_hat, c_pos_hat, _ = _projected_centers(best_B[best], *centers)
+    c_neg_hat, c_pos_hat, _ = _projected_centers(best_B[best], *frame[:2])
     return FqccModel(best_B[best], c_neg_hat, c_pos_hat, float(lam),
                      float(sigma), float(best_values[best]))

@@ -45,6 +45,15 @@ from the factored basis before the answer is read.  The answer is checked
 before it is returned: row residuals and bound violations must lie within
 the feasibility tolerance, or solve raises CyclingError.
 
+Every answer carries its final basis, its column statuses and, as a
+certificate, its largest wrong-sign reduced cost.  solve(problem, start)
+re-optimizes from the basis of start, an answer to a program of the same
+shape and c, by a bounded dual simplex (Koberstein, "The dual simplex
+method, techniques for a fast and stable implementation", PhD thesis,
+Paderborn, 2005; Maros, "A generalized dual phase-2 simplex algorithm",
+EJOR 149(1), 2003): that basis stays dual feasible when only b and the
+bounds move.  An attempt that cannot finish falls back to the cold path.
+
 Everything is deterministic: identical problems produce bit-identical
 solutions.
 """
@@ -146,12 +155,17 @@ class LpSolution:
     x: np.ndarray | None
     objective_value: float | None
     iterations: int
+    basis: np.ndarray | None = None     # (r,) column at each basis position
+    statuses: np.ndarray | None = None  # (d + r,) structural and slack codes
+    dual_infeasibility: float = float("nan")
 
     def __post_init__(self) -> None:
         if self.status not in ("optimal", "infeasible", "unbounded"):
             raise LpFormatError(f"unknown status {self.status!r}")
-        if self.x is not None:
-            object.__setattr__(self, "x", _frozen(self.x, np.float64))
+        for name in ("x", "basis", "statuses"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(
+                    getattr(self, name), np.float64 if name == "x" else None))
 
 
 def format_problem(problem: LpProblem) -> str:
@@ -182,7 +196,7 @@ class _Tableau:
     the k dense basic columns, form the block F, the one part inverted.
     """
 
-    def __init__(self, problem: LpProblem):
+    def __init__(self, problem: LpProblem, start: LpSolution | None = None):
         A = problem.A
         r, d = A.shape
         geq = np.array([rel == ">=" for rel in problem.relations], dtype=bool)
@@ -207,7 +221,12 @@ class _Tableau:
                                      np.where(geq, 0.0, np.inf)])
         self.r = r
         self.d = d
-        self._crash(problem)
+        if start is None:
+            self._crash(problem)
+        else:  # start's basis; every nonbasic variable at its bound
+            self.status, self.basis = start.statuses.copy(), start.basis.copy()
+            self.x = np.where(self.status == _AT_UPPER, self.upper, self.lower)
+            self.total = d + r
 
     def _crash(self, problem: LpProblem) -> None:
         """Set the starting point and basis.
@@ -310,6 +329,25 @@ class _Tableau:
         y[self.rows_d] = (c_b[self.pos_d] - self.coupling @ y_s) @ self.f_inv
         return y
 
+    def dot(self, y: np.ndarray) -> np.ndarray:
+        """a_j . y for every column j, from a btran result y."""
+        products = self.value * y[self.row]
+        products[self.dense_cols] += self.dense @ y[:-1]
+        return products
+
+    def pivot(self, pos: int, entering: int, moves: np.ndarray,
+              step: float, to_upper: bool) -> None:
+        """Move the basic values by moves and entering by step; entering
+        takes basis position pos, whose variable leaves at a bound."""
+        leaving = self.basis[pos]
+        self.x[self.basis] += moves
+        self.x[entering] += step
+        self.status[leaving] = _AT_UPPER if to_upper else _AT_LOWER
+        self.x[leaving] = (self.upper if to_upper else self.lower)[leaving]
+        self.status[entering] = _BASIC
+        self.basis[pos] = entering
+        self.factor()
+
     def recompute_basic_values(self) -> None:
         nonbasic = np.where(self.status == _BASIC, 0.0, self.x)
         lhs = (np.bincount(self.row, self.value * nonbasic,
@@ -339,9 +377,7 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
             raise CyclingError(
                 f"no optimum after {cap} iterations: cycling suspected")
 
-        y = tab.btran(c[tab.basis])
-        reduced = c - tab.value * y[tab.row]
-        reduced[tab.dense_cols] -= tab.dense @ y[:-1]
+        reduced = c - tab.dot(tab.btran(c[tab.basis]))
 
         can_increase = (_CAN_RISE[tab.status] & movable
                         & (reduced < -PIVOT_TOLERANCE))
@@ -406,61 +442,69 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
             best = (pivots >= pivots.max() - 1e-12).nonzero()[0]
             choice = best[tab.basis[blocking][best].argmin()]
             leave_pos = int(blocking[choice])
-        leaving = int(tab.basis[leave_pos])
-
-        tab.x[tab.basis] = basic_values + delta * step
-        tab.x[entering] += direction * step
-        hit_upper = delta[leave_pos] > 0
-        tab.status[leaving] = _AT_UPPER if hit_upper else _AT_LOWER
-        tab.x[leaving] = tab.upper[leaving] if hit_upper else tab.lower[leaving]
-        tab.status[entering] = _BASIC
-        tab.basis[leave_pos] = entering
         # every blocking row has |alpha| above PIVOT_TOLERANCE by the ratio
         # test, so the new basis, and with it F, is nonsingular
-        tab.factor()
+        tab.pivot(leave_pos, entering, delta * step, direction * step,
+                  delta[leave_pos] > 0)
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Minimize the problem, reporting optimal/infeasible/unbounded by status.
+def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
+                stall_limit: int) -> int:
+    """Dual simplex pivots from a dual feasible basis until every basic
+    value is within its bounds; returns their number.  The basic variable
+    furthest outside leaves for the bound it violates; of the columns that
+    move it there, the smallest |d_j / alpha_rj| enters, ties to the
+    largest |alpha_rj|.  CyclingError when none can, when c . x has not
+    risen for stall_limit pivots, or after cap pivots."""
+    movable = tab.upper - tab.lower > 0
+    reduced = c - tab.dot(tab.btran(c[tab.basis]))
+    best, stalled = float(c @ tab.x), 0
+    for pivots in range(cap + 1):
+        objective = float(c @ tab.x)
+        gained = objective > best + 1e-9 * (1.0 + abs(best))
+        best, stalled = max(best, objective), 0 if gained else stalled + 1
+        basic = tab.x[tab.basis]
+        below = tab.lower[tab.basis] - basic
+        excess = np.maximum(below, basic - tab.upper[tab.basis])
+        if excess.max(initial=0.0) <= PIVOT_TOLERANCE:
+            return pivots
+        pos = int(excess.argmax())
+        rise = below[pos] > 0  # the leaving variable rises to its lower bound
+        row = tab.dot(tab.btran(np.eye(1, tab.r, pos)[0]))  # alpha_r
+        # push_j > 0: raising x_j moves the leaving variable to its bound
+        push = -row if rise else row
+        toward = ((_CAN_RISE[tab.status] & (push > PIVOT_TOLERANCE))
+                  | (_CAN_FALL[tab.status] & (push < -PIVOT_TOLERANCE)))
+        eligible = (toward & movable).nonzero()[0]
+        if eligible.size == 0 or stalled > stall_limit or pivots == cap:
+            break
+        ratios = np.abs(reduced[eligible] / row[eligible])
+        near = eligible[ratios <= ratios.min() + PIVOT_TOLERANCE]
+        entering = int(near[np.abs(row[near]).argmax()])
+        alpha = tab.ftran(tab.column(entering))
+        target = (tab.lower if rise else tab.upper)[tab.basis[pos]]
+        step = (basic[pos] - target) / alpha[pos]
+        theta = reduced[entering] / row[entering]
+        reduced -= theta * row
+        reduced[tab.basis[pos]], reduced[entering] = -theta, 0.0
+        tab.pivot(pos, entering, -alpha * step, step, not rise)
+    raise CyclingError("the dual simplex found no entering column, stalled "
+                       "or ran out of pivots")
 
-    Running past ITERATIONS_PER_SIZE * (rows + vars) pivots, or a final
-    answer outside the rows or bounds by more than the feasibility
-    tolerance, raises CyclingError rather than returning a wrong answer.
-    """
-    r = problem.num_rows
-    d = problem.num_vars
-    max_iterations = ITERATIONS_PER_SIZE * (r + d)
-    stall_limit = 3 * (r + d)
-    tolerance = FEASIBILITY_TOLERANCE * (
-        1.0 + np.abs(problem.b).max(initial=0.0))
 
-    tab = _Tableau(problem)
-    tab.factor()
-    tab.recompute_basic_values()
+def _dual_infeasibility(tab: _Tableau, c: np.ndarray) -> float:
+    """The largest wrong-sign reduced cost for costs c of a movable
+    nonbasic variable at tab's basis, 0 when there is none."""
+    reduced = c - tab.dot(tab.btran(c[tab.basis]))
+    wrong = np.maximum(np.where(_CAN_RISE[tab.status], -reduced, 0.0),
+                       np.where(_CAN_FALL[tab.status], reduced, 0.0))
+    return float(wrong[tab.upper - tab.lower > 0].max(initial=0.0))
 
-    iterations = 0
-    if tab.total > d + r:  # phase 1 prices out the artificials
-        phase1_c = np.zeros(tab.total)
-        phase1_c[d + r:] = 1.0
-        _, iterations = _simplex_phase(
-            tab, phase1_c, 0, max_iterations, stall_limit,
-            allow_unbounded=False)
-        infeasibility = float(tab.x[d + r:].sum())
-        if infeasibility > tolerance:
-            return LpSolution("infeasible", None, None, iterations)
-        # pin artificials to zero for phase 2; basic ones may linger at 0
-        tab.lower[d + r:] = 0.0
-        tab.upper[d + r:] = 0.0
-        np.clip(tab.x[d + r:], 0.0, None, out=tab.x[d + r:])
 
-    phase2_c = np.zeros(tab.total)
-    phase2_c[:d] = problem.c
-    status, iterations = _simplex_phase(
-        tab, phase2_c, iterations, max_iterations, stall_limit,
-        allow_unbounded=True)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, iterations)
-
+def _answer(tab: _Tableau, problem: LpProblem, c: np.ndarray,
+            iterations: int, tolerance: float) -> LpSolution:
+    """The checked optimum at tab's basis, for the phase-2 costs c."""
+    d, r = tab.d, tab.r
     tab.recompute_basic_values()  # one clean solve before the answer
     x = tab.x[:d].copy()
     near_lower = np.abs(x - problem.lower) <= 1e-9
@@ -478,5 +522,83 @@ def solve(problem: LpProblem) -> LpSolution:
             f"the final basis fails its feasibility check: row excess "
             f"{worst_row:.3g}, bound excess {worst_bound:.3g}, tolerance "
             f"{tolerance:.3g}")
-    objective = float(problem.c @ x)
-    return LpSolution("optimal", x, objective, iterations)
+    return LpSolution("optimal", x, float(problem.c @ x), iterations,
+                      tab.basis, tab.status[:d + r],
+                      _dual_infeasibility(tab, c))
+
+
+def _warm_solve(problem: LpProblem, start: LpSolution, tolerance: float,
+                cap: int, stall_limit: int) -> LpSolution | None:
+    """The optimum by the dual simplex from start's basis, or None when a
+    start holds an artificial or free nonbasic or is not dual feasible,
+    the dual phase fails, or the answer fails a check."""
+    r, d = problem.num_rows, problem.num_vars
+    if (start.basis.shape != (r,) or start.statuses.shape != (d + r,)
+            or start.basis.max(initial=-1) >= d + r
+            or np.any(start.statuses == _FREE)):
+        return None
+    tab = _Tableau(problem, start)
+    c = np.concatenate([problem.c, np.zeros(r)])
+    try:
+        tab.factor()
+        tab.recompute_basic_values()
+        if (not np.all(np.isfinite(tab.x))
+                or _dual_infeasibility(tab, c) > PIVOT_TOLERANCE):
+            return None
+        answer = _answer(tab, problem, c,
+                         _dual_phase(tab, c, cap, stall_limit), tolerance)
+    except (CyclingError, np.linalg.LinAlgError):
+        return None
+    return answer if answer.dual_infeasibility <= PIVOT_TOLERANCE else None
+
+
+def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
+    """Minimize the problem, reporting optimal/infeasible/unbounded by status.
+
+    start, an earlier answer, warm-starts the dual simplex.  Running past
+    ITERATIONS_PER_SIZE * (rows + vars) pivots, or a final answer outside
+    the rows or bounds by more than the feasibility tolerance, raises
+    CyclingError rather than returning a wrong answer.
+    """
+    r = problem.num_rows
+    d = problem.num_vars
+    max_iterations = ITERATIONS_PER_SIZE * (r + d)
+    stall_limit = 3 * (r + d)
+    tolerance = FEASIBILITY_TOLERANCE * (
+        1.0 + np.abs(problem.b).max(initial=0.0))
+    answer = start and start.basis is not None and _warm_solve(
+        problem, start, tolerance, max_iterations, stall_limit)
+    if answer:
+        return answer
+
+    tab = _Tableau(problem)
+    tab.factor()
+    tab.recompute_basic_values()
+
+    iterations = 0
+    if tab.total > d + r:  # phase 1 prices out the artificials
+        phase1_c = np.zeros(tab.total)
+        phase1_c[d + r:] = 1.0
+        _, iterations = _simplex_phase(
+            tab, phase1_c, 0, max_iterations, stall_limit,
+            allow_unbounded=False)
+        infeasibility = float(tab.x[d + r:].sum())
+        if infeasibility > tolerance:
+            return LpSolution("infeasible", None, None, iterations,
+                              tab.basis, tab.status[:d + r],
+                              _dual_infeasibility(tab, phase1_c))
+        # pin artificials to zero for phase 2; basic ones may linger at 0
+        tab.lower[d + r:] = 0.0
+        tab.upper[d + r:] = 0.0
+        np.clip(tab.x[d + r:], 0.0, None, out=tab.x[d + r:])
+
+    phase2_c = np.zeros(tab.total)
+    phase2_c[:d] = problem.c
+    status, iterations = _simplex_phase(
+        tab, phase2_c, iterations, max_iterations, stall_limit,
+        allow_unbounded=True)
+    if status == "unbounded":
+        return LpSolution("unbounded", None, None, iterations, tab.basis,
+                          tab.status[:d + r],
+                          _dual_infeasibility(tab, phase2_c))
+    return _answer(tab, problem, phase2_c, iterations, tolerance)

@@ -7,7 +7,9 @@ enumeration for the 1-D SVM, a breakpoint-by-breakpoint loop for the
 hinge sweep, a query-by-value distance matrix for the nearest stored
 value, a row-by-row loop for the simplex crash basis, and one restart
 after another for the quadratic-criterion fit.  None of them share code
-with the package under test.
+with the package under test, except procedure_two_cold: it runs the
+package's own cold fits one grid value at a time, as procedure 2 did
+before its sigma chain, and so checks the chain, not the fits.
 """
 
 from __future__ import annotations
@@ -381,3 +383,42 @@ def fqcc_serial_oracle(features, labels, lam, sigma, seed, restarts,
             beta = np.clip(beta - 0.5 / (norm * math.sqrt(t + 1.0)) * grad,
                            -1.0, 1.0)
     return best_beta, best_value
+
+
+def procedure_two_cold(config):
+    """(tables, grid records) of procedure 2 as a loop over methods, grid
+    values and folds, each fit cold and on its own: tables[method][value]
+    holds the fold AUCs, and the best value is the first strict maximum
+    of the mean over the folds whose fit succeeded."""
+    from lcckit.evaluation import (METHODS, GridRecord, _normalized, fit,
+                                   roc_auc, stratified_kfold)
+    from lcckit.lcc import ParameterError
+
+    data = config.data
+    splits = [_normalized(data.take(np.delete(np.arange(data.m), held)),
+                          data.take(held))
+              for held in stratified_kfold(data, config.folds, config.seed)]
+    tables, records = {}, []
+    for name in config.methods:
+        method, best = METHODS[name], None
+        tables[name] = {}
+        for value in method.grid:
+            params = {**config.params, method.param_key: value}
+            fold_aucs = []
+            for train, test in splits:
+                try:
+                    model = fit(method, train, params, config.seed)
+                    fold_aucs.append(roc_auc(model.score(test.features),
+                                             test.labels).auc)
+                except ParameterError:
+                    raise
+                except (ValueError, RuntimeError):
+                    fold_aucs.append(math.nan)
+            tables[name][value] = tuple(fold_aucs)
+            clean = [a for a in fold_aucs if not math.isnan(a)]
+            mean_auc = sum(clean) / len(clean) if clean else -math.inf
+            if best is None or mean_auc > best[0]:
+                best = (mean_auc, value, tuple(fold_aucs))
+        records.append(GridRecord(name, method.param_name, best[1], best[0],
+                                  best[2]))
+    return tables, records

@@ -53,6 +53,8 @@ def test_recorded_pivot_path(index):
     case = CASES[index]
     sol = solve(rebuild(case))
     assert (sol.status, sol.iterations) == (case["status"], case["iterations"])
+    # optimal and infeasible answers end on a basis optimal for their phase
+    assert (sol.dual_infeasibility <= 1e-9) == (sol.status != "unbounded")
     if case["objective"] is None:
         assert sol.objective_value is None
     else:

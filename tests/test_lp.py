@@ -366,3 +366,114 @@ def test_every_basic_column_dense(monkeypatch):
     assert sorted(tab.basis.tolist()) == [0, 1, 2, 3]
     assert tab.pos_d.size == 4 and tab.pos_s.size == 0
     assert tab.f_inv.shape == (4, 4)
+
+
+def moved(rng, raw):
+    """raw with b and the bounds moved, c, A and the relations kept."""
+    c, A, relations, b, lower, upper = raw
+    lower = lower + rng.uniform(-0.5, 0.5, lower.size)
+    upper = np.maximum(lower, upper + rng.uniform(-0.5, 0.5, upper.size))
+    return c, A, relations, b + rng.normal(0.0, 0.5, b.size), lower, upper
+
+
+def count_warm_answers(monkeypatch):
+    """A list whose length counts the warm attempts that finished without
+    falling back to the cold path."""
+    answers, real = [], lp._warm_solve
+
+    def counted(*args):
+        answer = real(*args)
+        if answer is not None:
+            answers.append(answer)
+        return answer
+    monkeypatch.setattr(lp, "_warm_solve", counted)
+    return answers
+
+
+def test_warm_start_after_b_and_bounds_move(monkeypatch):
+    has_highs = True
+    try:
+        from scipy.optimize import linprog  # noqa: F401
+    except ImportError:
+        has_highs = False
+    answers = count_warm_answers(monkeypatch)
+    rng = np.random.default_rng(11)
+    warm_optimal = infeasible = 0
+    while warm_optimal < 100:
+        raw = random_box_lp(rng, max_vars=8, max_rows=10)
+        first = solve(make(*raw))
+        if first.status != "optimal":
+            continue
+        problem = make(*moved(rng, raw))
+        warm, cold = solve(problem, first), solve(problem)
+        assert warm.status == cold.status, format_problem(problem)
+        if has_highs:
+            assert highs(problem)[0] == cold.status
+        if cold.status != "optimal":
+            infeasible += 1
+            continue
+        warm_optimal += 1
+        assert warm.objective_value == pytest.approx(
+            cold.objective_value, rel=1e-9, abs=1e-9)
+        assert residuals_ok(problem, warm.x)
+        assert warm.dual_infeasibility <= 1e-9
+        if has_highs:
+            assert warm.objective_value == pytest.approx(
+                highs(problem)[1], rel=1e-9, abs=1e-9)
+    # most warm attempts finish on the dual simplex; an infeasible moved
+    # program never does, as no column can enter
+    assert len(answers) >= 80 and infeasible > 0
+
+
+def centralization_pair(lam_first, lam_then, sigma_first, sigma_then):
+    """Two klcc programs on one jain_like:m=150 fold."""
+    data = gen_shape("jain_like", 150, 0.1, 0)
+    held = stratified_kfold(data, 5, 0)[0]
+    train = data.take(np.delete(np.arange(data.m), held))
+    train = apply_normalizer(fit_normalizer(train), train)
+    spec = KernelSpec("rbf", median_pairwise_distance(train.features))
+    return (assemble_klcc_lp(train, spec, lam_first, sigma_first),
+            assemble_klcc_lp(train, spec, lam_then, sigma_then))
+
+
+@pytest.mark.parametrize("lam, sigma", [(0.5, -0.5), (2.0, -128.0)],
+                         ids=["lam changed", "infeasible"])
+def test_start_that_cannot_finish_gives_the_cold_answer(lam, sigma,
+                                                         monkeypatch):
+    # a new lam changes c, so the start's basis is not dual feasible; at
+    # sigma -128 the program is infeasible and no column can enter
+    first, then = centralization_pair(2.0, lam, -0.5, sigma)
+    start = solve(first)
+    assert start.status == "optimal"
+    if lam != 2.0:
+        tab = lp._Tableau(then, start)
+        tab.factor()
+        c = np.concatenate([then.c, np.zeros(then.num_rows)])
+        assert lp._dual_infeasibility(tab, c) > 1e-9
+    answers = count_warm_answers(monkeypatch)
+    warm, cold = solve(then, start), solve(then)
+    assert answers == []
+    assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
+    assert (warm.x is None and cold.x is None
+            or warm.x.tobytes() == cold.x.tobytes())
+
+
+def test_start_from_another_shape_gives_the_cold_answer(monkeypatch):
+    start = solve(make([-1.0], [[1.0]], ("<=",), [1.0], [0.0], [2.0]))
+    problem = make([-1.0, -1.0], [[1.0, 1.0]], ("<=",), [1.0],
+                   [0.0, 0.0], [1.0, 1.0])
+    answers = count_warm_answers(monkeypatch)
+    warm, cold = solve(problem, start), solve(problem)
+    assert answers == []
+    assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
+    assert warm.x.tobytes() == cold.x.tobytes()
+
+
+def test_dual_infeasibility_reads_the_crash_basis_as_not_optimal():
+    problem = centralization_pair(2.0, 2.0, -2.0 ** -7, -2.0 ** -7)[0]
+    tab = lp._Tableau(problem)
+    tab.factor()
+    c = np.zeros(tab.total)
+    c[:problem.num_vars] = problem.c
+    assert lp._dual_infeasibility(tab, c) > 1.0
+    assert solve(problem).dual_infeasibility <= 1e-9
