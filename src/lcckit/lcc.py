@@ -175,12 +175,13 @@ def model_from_beta(train: Dataset, beta: np.ndarray, lam: float,
                     float(sigma), epsilons)
 
 
-def _centralization_path(coords_of, train: Dataset, lam: float, solve,
+def _centralization_path(coords_of, train: Dataset, lam: float, solver,
                          model):
     """fit(sigma) -> model(coefficients, c_neg_hat, c_pos_hat, l_hat, lam,
     sigma, slacks) over the rows of coords_of(train.features), built once.
-    Each solve starts from the last optimal one: sigma moves only b and the
-    bounds, so its basis stays dual feasible for the dual simplex."""
+    solver is the caller's lp.solve; each solve starts from the last optimal
+    one, as sigma moves only b and the bounds, so its basis stays dual
+    feasible for the dual simplex."""
     coords = functools.cache(lambda: coords_of(train.features))
     start = None
 
@@ -188,7 +189,7 @@ def _centralization_path(coords_of, train: Dataset, lam: float, solve,
         nonlocal start
         problem, center_neg, center_pos = _centralization_lp(
             lambda _: coords(), train, lam, sigma)
-        solution = solve(problem, start)
+        solution = solver(problem, start)
         if solution.status == "infeasible":
             gap = float(np.abs(center_pos - center_neg).sum())
             raise TrainingError(

@@ -11,8 +11,8 @@ import pytest
 from lcckit import kernel, lcc, lp
 from lcckit.data import gen_shape
 from lcckit.evaluation import (METHODS, PARAM_DEFAULTS, BenchmarkConfig,
-                               _grid_aucs, _normalized, report_to_csv,
-                               run_benchmark, stratified_kfold)
+                               _grid_aucs, _normalized, run_benchmark,
+                               stratified_kfold)
 from tests.helpers import procedure_two_cold
 
 
@@ -86,4 +86,3 @@ def test_chain_matches_the_cold_loop(shape, seed, monkeypatch):
 
     report = run_benchmark(config)
     assert report.grid_records == tuple(records)
-    assert report_to_csv(report).startswith("method,param_name")
