@@ -52,7 +52,10 @@ shape and c, by a bounded dual simplex (Koberstein, "The dual simplex
 method, techniques for a fast and stable implementation", PhD thesis,
 Paderborn, 2005; Maros, "A generalized dual phase-2 simplex algorithm",
 EJOR 149(1), 2003): that basis stays dual feasible when only b and the
-bounds move.  An attempt that cannot finish falls back to the cold path.
+bounds move.  An attempt that cannot finish falls back to the cold path,
+whose iterations then include the attempt's pivots.  Pricing, the dual
+ratio test, the warm start's check and the certificate read one sign
+test, _descent: how fast each nonbasic variable can lower a linear form.
 
 Everything is deterministic: identical problems produce bit-identical
 solutions.
@@ -226,7 +229,6 @@ class _Tableau:
         else:  # start's basis; every nonbasic variable at its bound
             self.status, self.basis = start.statuses.copy(), start.basis.copy()
             self.x = np.where(self.status == _AT_UPPER, self.upper, self.lower)
-            self.total = d + r
 
     def _crash(self, problem: LpProblem) -> None:
         """Set the starting point and basis.
@@ -286,7 +288,6 @@ class _Tableau:
         self.x = np.concatenate([self.x, np.abs(rest[art_rows])])
         self.status = np.concatenate(
             [self.status, np.full(n_art, _BASIC, dtype=np.int8)])
-        self.total = d + r + n_art
 
     def factor(self) -> None:
         """Split the basis into its singleton columns and the block F,
@@ -356,6 +357,17 @@ class _Tableau:
         self.x[self.basis] = self.ftran(self.b - lhs)
 
 
+def _descent(status: np.ndarray, v: np.ndarray,
+             movable: np.ndarray) -> np.ndarray:
+    """For each column, how fast v . x falls as the variable moves the way
+    its status and bounds allow: |v_j| if it may move against the sign of
+    v_j, else 0, as for basic and fixed variables."""
+    # one lookup in the two tables end to end: rise where v_j < 0, else fall
+    lowers = np.concatenate((_CAN_FALL, _CAN_RISE))[
+        status + _CAN_FALL.size * (v < 0)]
+    return np.abs(v) * (lowers & movable)
+
+
 def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
                    cap: int, stall_limit: int,
                    allow_unbounded: bool) -> tuple[str, int]:
@@ -378,21 +390,13 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
                 f"no optimum after {cap} iterations: cycling suspected")
 
         reduced = c - tab.dot(tab.btran(c[tab.basis]))
-
-        can_increase = (_CAN_RISE[tab.status] & movable
-                        & (reduced < -PIVOT_TOLERANCE))
-        can_decrease = (_CAN_FALL[tab.status] & movable
-                        & (reduced > PIVOT_TOLERANCE))
-        eligible = (can_increase | can_decrease).nonzero()[0]
+        rate = _descent(tab.status, reduced, movable)
+        eligible = (rate > PIVOT_TOLERANCE).nonzero()[0]
         if eligible.size == 0:
             return "optimal", iteration
-
-        if use_bland:
-            entering = int(eligible[0])
-        else:
-            scores = np.abs(reduced[eligible])
-            entering = int(eligible[scores.argmax()])
-        direction = 1.0 if can_increase[entering] else -1.0
+        entering = int(eligible[0] if use_bland
+                       else eligible[rate[eligible].argmax()])
+        direction = 1.0 if reduced[entering] < 0 else -1.0
 
         alpha = tab.ftran(tab.column(entering))
         # basic variable i moves at rate delta[i] per unit step of entering
@@ -449,13 +453,14 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
 
 
 def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
-                stall_limit: int) -> int:
+                stall_limit: int) -> tuple[bool, int]:
     """Dual simplex pivots from a dual feasible basis until every basic
-    value is within its bounds; returns their number.  The basic variable
-    furthest outside leaves for the bound it violates; of the columns that
-    move it there, the smallest |d_j / alpha_rj| enters, ties to the
-    largest |alpha_rj|.  CyclingError when none can, when c . x has not
-    risen for stall_limit pivots, or after cap pivots."""
+    value is within its bounds.  The basic variable furthest outside
+    leaves for the bound it violates; of the columns that move it there,
+    the smallest |d_j / alpha_rj| enters, ties to the largest |alpha_rj|.
+    Returns (finished, pivots); finished is False when no column can
+    enter, when c . x has not risen for stall_limit pivots, or after cap
+    pivots."""
     movable = tab.upper - tab.lower > 0
     reduced = c - tab.dot(tab.btran(c[tab.basis]))
     best, stalled = float(c @ tab.x), 0
@@ -467,15 +472,15 @@ def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
         below = tab.lower[tab.basis] - basic
         excess = np.maximum(below, basic - tab.upper[tab.basis])
         if excess.max(initial=0.0) <= PIVOT_TOLERANCE:
-            return pivots
+            return True, pivots
         pos = int(excess.argmax())
         rise = below[pos] > 0  # the leaving variable rises to its lower bound
         row = tab.dot(tab.btran(np.eye(1, tab.r, pos)[0]))  # alpha_r
-        # push_j > 0: raising x_j moves the leaving variable to its bound
-        push = -row if rise else row
-        toward = ((_CAN_RISE[tab.status] & (push > PIVOT_TOLERANCE))
-                  | (_CAN_FALL[tab.status] & (push < -PIVOT_TOLERANCE)))
-        eligible = (toward & movable).nonzero()[0]
+        # the leaving variable moves by -alpha_rj per unit rise of x_j:
+        # eligible are the moves that lower row . x if it must rise, else
+        # the moves that raise it
+        toward = _descent(tab.status, row if rise else -row, movable)
+        eligible = (toward > PIVOT_TOLERANCE).nonzero()[0]
         if eligible.size == 0 or stalled > stall_limit or pivots == cap:
             break
         ratios = np.abs(reduced[eligible] / row[eligible])
@@ -488,117 +493,101 @@ def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
         reduced -= theta * row
         reduced[tab.basis[pos]], reduced[entering] = -theta, 0.0
         tab.pivot(pos, entering, -alpha * step, step, not rise)
-    raise CyclingError("the dual simplex found no entering column, stalled "
-                       "or ran out of pivots")
+    return False, pivots
 
 
 def _dual_infeasibility(tab: _Tableau, c: np.ndarray) -> float:
     """The largest wrong-sign reduced cost for costs c of a movable
     nonbasic variable at tab's basis, 0 when there is none."""
     reduced = c - tab.dot(tab.btran(c[tab.basis]))
-    wrong = np.maximum(np.where(_CAN_RISE[tab.status], -reduced, 0.0),
-                       np.where(_CAN_FALL[tab.status], reduced, 0.0))
-    return float(wrong[tab.upper - tab.lower > 0].max(initial=0.0))
+    return float(_descent(tab.status, reduced,
+                          tab.upper - tab.lower > 0).max(initial=0.0))
 
 
-def _answer(tab: _Tableau, problem: LpProblem, c: np.ndarray,
+def _answer(tab: _Tableau, problem: LpProblem, c: np.ndarray, status: str,
             iterations: int, tolerance: float) -> LpSolution:
-    """The checked optimum at tab's basis, for the phase-2 costs c."""
+    """The answer at tab's basis with its certificate for the costs c; an
+    optimum carries x, checked against the rows and bounds."""
     d, r = tab.d, tab.r
-    tab.recompute_basic_values()  # one clean solve before the answer
-    x = tab.x[:d].copy()
-    near_lower = np.abs(x - problem.lower) <= 1e-9
-    near_upper = np.abs(x - problem.upper) <= 1e-9
-    x[near_lower] = problem.lower[near_lower]
-    x[near_upper] = problem.upper[near_upper]
-    slack = problem.b - problem.A @ x
-    row_excess = np.maximum(tab.lower[d:d + r] - slack,
-                            slack - tab.upper[d:d + r])
-    bound_excess = np.maximum(problem.lower - x, x - problem.upper)
-    worst_row = float(row_excess.max(initial=0.0))
-    worst_bound = float(bound_excess.max(initial=0.0))
-    if max(worst_row, worst_bound) > tolerance:
-        raise CyclingError(
-            f"the final basis fails its feasibility check: row excess "
-            f"{worst_row:.3g}, bound excess {worst_bound:.3g}, tolerance "
-            f"{tolerance:.3g}")
-    return LpSolution("optimal", x, float(problem.c @ x), iterations,
-                      tab.basis, tab.status[:d + r],
-                      _dual_infeasibility(tab, c))
-
-
-def _warm_solve(problem: LpProblem, start: LpSolution, tolerance: float,
-                cap: int, stall_limit: int) -> LpSolution | None:
-    """The optimum by the dual simplex from start's basis, or None when a
-    start holds an artificial or free nonbasic or is not dual feasible,
-    the dual phase fails, or the answer fails a check."""
-    r, d = problem.num_rows, problem.num_vars
-    if (start.basis.shape != (r,) or start.statuses.shape != (d + r,)
-            or start.basis.max(initial=-1) >= d + r
-            or np.any(start.statuses == _FREE)):
-        return None
-    tab = _Tableau(problem, start)
-    c = np.concatenate([problem.c, np.zeros(r)])
-    try:
-        tab.factor()
-        tab.recompute_basic_values()
-        if (not np.all(np.isfinite(tab.x))
-                or _dual_infeasibility(tab, c) > PIVOT_TOLERANCE):
-            return None
-        answer = _answer(tab, problem, c,
-                         _dual_phase(tab, c, cap, stall_limit), tolerance)
-    except (CyclingError, np.linalg.LinAlgError):
-        return None
-    return answer if answer.dual_infeasibility <= PIVOT_TOLERANCE else None
+    x = objective = None
+    if status == "optimal":
+        tab.recompute_basic_values()  # one clean solve before the answer
+        x = tab.x[:d].copy()
+        near_lower = np.abs(x - problem.lower) <= 1e-9
+        near_upper = np.abs(x - problem.upper) <= 1e-9
+        x[near_lower] = problem.lower[near_lower]
+        x[near_upper] = problem.upper[near_upper]
+        slack = problem.b - problem.A @ x
+        row_excess = np.maximum(tab.lower[d:d + r] - slack,
+                                slack - tab.upper[d:d + r])
+        bound_excess = np.maximum(problem.lower - x, x - problem.upper)
+        worst_row = float(row_excess.max(initial=0.0))
+        worst_bound = float(bound_excess.max(initial=0.0))
+        if max(worst_row, worst_bound) > tolerance:
+            raise CyclingError(
+                f"the final basis fails its feasibility check: row excess "
+                f"{worst_row:.3g}, bound excess {worst_bound:.3g}, "
+                f"tolerance {tolerance:.3g}")
+        objective = float(problem.c @ x)
+    return LpSolution(status, x, objective, iterations, tab.basis,
+                      tab.status[:d + r], _dual_infeasibility(tab, c))
 
 
 def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
     """Minimize the problem, reporting optimal/infeasible/unbounded by status.
 
-    start, an earlier answer, warm-starts the dual simplex.  Running past
-    ITERATIONS_PER_SIZE * (rows + vars) pivots, or a final answer outside
-    the rows or bounds by more than the feasibility tolerance, raises
-    CyclingError rather than returning a wrong answer.
+    start, an earlier answer, warm-starts the dual simplex.  The cold path
+    running past ITERATIONS_PER_SIZE * (rows + vars) pivots, or a final
+    answer outside the rows or bounds by more than the feasibility
+    tolerance, raises CyclingError rather than returning a wrong answer.
     """
-    r = problem.num_rows
-    d = problem.num_vars
+    r, d = problem.num_rows, problem.num_vars
     max_iterations = ITERATIONS_PER_SIZE * (r + d)
     stall_limit = 3 * (r + d)
     tolerance = FEASIBILITY_TOLERANCE * (
         1.0 + np.abs(problem.b).max(initial=0.0))
-    answer = start and start.basis is not None and _warm_solve(
-        problem, start, tolerance, max_iterations, stall_limit)
-    if answer:
-        return answer
+    c = np.concatenate([problem.c, np.zeros(r)])
+    spent = 0  # the pivots of a warm attempt that fell back
+    if (start is not None and start.basis is not None
+            and start.basis.shape == (r,) and start.statuses.shape == (d + r,)
+            and start.basis.max(initial=-1) < d + r):
+        tab = _Tableau(problem, start)
+        try:
+            tab.factor()
+            tab.recompute_basic_values()
+            if (np.all(np.isfinite(tab.x))
+                    and _dual_infeasibility(tab, c) <= PIVOT_TOLERANCE):
+                finished, spent = _dual_phase(tab, c, max_iterations,
+                                              stall_limit)
+                if finished:
+                    answer = _answer(tab, problem, c, "optimal", spent,
+                                     tolerance)
+                    if answer.dual_infeasibility <= PIVOT_TOLERANCE:
+                        return answer
+        except (CyclingError, np.linalg.LinAlgError):
+            pass
 
     tab = _Tableau(problem)
     tab.factor()
     tab.recompute_basic_values()
 
     iterations = 0
-    if tab.total > d + r:  # phase 1 prices out the artificials
-        phase1_c = np.zeros(tab.total)
+    if tab.x.size > d + r:  # phase 1 prices out the artificials
+        phase1_c = np.zeros(tab.x.size)
         phase1_c[d + r:] = 1.0
         _, iterations = _simplex_phase(
             tab, phase1_c, 0, max_iterations, stall_limit,
             allow_unbounded=False)
-        infeasibility = float(tab.x[d + r:].sum())
-        if infeasibility > tolerance:
-            return LpSolution("infeasible", None, None, iterations,
-                              tab.basis, tab.status[:d + r],
-                              _dual_infeasibility(tab, phase1_c))
+        if float(tab.x[d + r:].sum()) > tolerance:
+            return _answer(tab, problem, phase1_c, "infeasible",
+                           spent + iterations, tolerance)
         # pin artificials to zero for phase 2; basic ones may linger at 0
         tab.lower[d + r:] = 0.0
         tab.upper[d + r:] = 0.0
         np.clip(tab.x[d + r:], 0.0, None, out=tab.x[d + r:])
+        c = np.concatenate([c, np.zeros(tab.x.size - d - r)])
 
-    phase2_c = np.zeros(tab.total)
-    phase2_c[:d] = problem.c
     status, iterations = _simplex_phase(
-        tab, phase2_c, iterations, max_iterations, stall_limit,
+        tab, c, iterations, max_iterations, stall_limit,
         allow_unbounded=True)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, iterations, tab.basis,
-                          tab.status[:d + r],
-                          _dual_infeasibility(tab, phase2_c))
-    return _answer(tab, problem, phase2_c, iterations, tolerance)
+    return _answer(tab, problem, c, status, spent + iterations, tolerance)

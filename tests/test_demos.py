@@ -1,8 +1,4 @@
-"""The demo scripts run to completion against the current library.
-
-benchmark_protocol.py is left out: it runs both evaluation procedures
-in full and takes close to a minute.
-"""
+"""The demo scripts run to completion against the current library."""
 
 import os
 import subprocess
@@ -16,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script", ["gaussian_separation.py",
                                     "discriminator_rules.py",
-                                    "kernel_shapes.py", "lp_tour.py"])
+                                    "kernel_shapes.py", "lp_tour.py",
+                                    "benchmark_protocol.py"])
 def test_demo_runs(script, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))

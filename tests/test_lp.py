@@ -376,18 +376,16 @@ def moved(rng, raw):
     return c, A, relations, b + rng.normal(0.0, 0.5, b.size), lower, upper
 
 
-def count_warm_answers(monkeypatch):
-    """A list whose length counts the warm attempts that finished without
-    falling back to the cold path."""
-    answers, real = [], lp._warm_solve
+def record_dual_phases(monkeypatch):
+    """A list that gains (finished, pivots) for each warm attempt that
+    passes the start check and runs the dual simplex."""
+    runs, real = [], lp._dual_phase
 
-    def counted(*args):
-        answer = real(*args)
-        if answer is not None:
-            answers.append(answer)
-        return answer
-    monkeypatch.setattr(lp, "_warm_solve", counted)
-    return answers
+    def recorded(*args):
+        runs.append(real(*args))
+        return runs[-1]
+    monkeypatch.setattr(lp, "_dual_phase", recorded)
+    return runs
 
 
 def test_warm_start_after_b_and_bounds_move(monkeypatch):
@@ -396,17 +394,24 @@ def test_warm_start_after_b_and_bounds_move(monkeypatch):
         from scipy.optimize import linprog  # noqa: F401
     except ImportError:
         has_highs = False
-    answers = count_warm_answers(monkeypatch)
+    runs = record_dual_phases(monkeypatch)
     rng = np.random.default_rng(11)
-    warm_optimal = infeasible = 0
+    warm_optimal = infeasible = finished_warm = 0
     while warm_optimal < 100:
         raw = random_box_lp(rng, max_vars=8, max_rows=10)
         first = solve(make(*raw))
         if first.status != "optimal":
             continue
         problem = make(*moved(rng, raw))
+        runs.clear()
         warm, cold = solve(problem, first), solve(problem)
         assert warm.status == cold.status, format_problem(problem)
+        # a finished attempt is the answer; one that fell back adds its
+        # pivots to the cold path's
+        finished, spent = runs[0] if runs else (False, 0)
+        finished_warm += finished
+        assert warm.iterations == spent + (0 if finished
+                                           else cold.iterations)
         if has_highs:
             assert highs(problem)[0] == cold.status
         if cold.status != "optimal":
@@ -422,7 +427,7 @@ def test_warm_start_after_b_and_bounds_move(monkeypatch):
                 highs(problem)[1], rel=1e-9, abs=1e-9)
     # most warm attempts finish on the dual simplex; an infeasible moved
     # program never does, as no column can enter
-    assert len(answers) >= 80 and infeasible > 0
+    assert finished_warm >= 80 and infeasible > 0
 
 
 def centralization_pair(lam_first, lam_then, sigma_first, sigma_then):
@@ -450,10 +455,19 @@ def test_start_that_cannot_finish_gives_the_cold_answer(lam, sigma,
         tab.factor()
         c = np.concatenate([then.c, np.zeros(then.num_rows)])
         assert lp._dual_infeasibility(tab, c) > 1e-9
-    answers = count_warm_answers(monkeypatch)
+    runs = record_dual_phases(monkeypatch)
     warm, cold = solve(then, start), solve(then)
-    assert answers == []
-    assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
+    # the lam-changed start is refused before any pivot; the infeasible
+    # program's attempt pivots until no column can enter, and its answer
+    # counts those pivots on top of the cold path's
+    spent = 0
+    if lam != 2.0:
+        assert runs == []
+    else:
+        [(finished, spent)] = runs
+        assert not finished and spent > 0
+    assert (warm.status, warm.iterations) == (cold.status,
+                                              cold.iterations + spent)
     assert (warm.x is None and cold.x is None
             or warm.x.tobytes() == cold.x.tobytes())
 
@@ -462,9 +476,9 @@ def test_start_from_another_shape_gives_the_cold_answer(monkeypatch):
     start = solve(make([-1.0], [[1.0]], ("<=",), [1.0], [0.0], [2.0]))
     problem = make([-1.0, -1.0], [[1.0, 1.0]], ("<=",), [1.0],
                    [0.0, 0.0], [1.0, 1.0])
-    answers = count_warm_answers(monkeypatch)
+    runs = record_dual_phases(monkeypatch)
     warm, cold = solve(problem, start), solve(problem)
-    assert answers == []
+    assert runs == []
     assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
     assert warm.x.tobytes() == cold.x.tobytes()
 
@@ -473,7 +487,31 @@ def test_dual_infeasibility_reads_the_crash_basis_as_not_optimal():
     problem = centralization_pair(2.0, 2.0, -2.0 ** -7, -2.0 ** -7)[0]
     tab = lp._Tableau(problem)
     tab.factor()
-    c = np.zeros(tab.total)
+    c = np.zeros(tab.x.size)
     c[:problem.num_vars] = problem.c
     assert lp._dual_infeasibility(tab, c) > 1.0
     assert solve(problem).dual_infeasibility <= 1e-9
+
+
+def test_descent_matches_the_status_and_bound_rules():
+    # all four status codes against fixed, boxed, one-sided and free
+    # bounds, with values on both sides of the pivot tolerance
+    rng = np.random.default_rng(5)
+    tol = lp.PIVOT_TOLERANCE
+    bounds = np.array([[0.0, 0.0], [-1.0, 2.0], [0.0, np.inf],
+                       [-np.inf, 0.0], [-np.inf, np.inf]])
+    for _ in range(200):
+        status = rng.integers(0, 4, 60).astype(np.int8)
+        lower, upper = bounds[rng.integers(0, len(bounds), 60)].T
+        v = rng.normal(size=60) * 10.0 ** rng.integers(-12, 4, 60)
+        edge = rng.random(60) < 0.2
+        v[edge] = rng.choice([0.0, -0.0, tol, -tol, 2 * tol, -2 * tol],
+                             edge.sum())
+        movable = upper - lower > 0
+        rate = lp._descent(status, v, movable)
+        eligible = ((lp._CAN_RISE[status] & movable & (v < -tol))
+                    | (lp._CAN_FALL[status] & movable & (v > tol)))
+        assert np.array_equal(rate > tol, eligible)
+        assert rate[eligible].tobytes() == np.abs(v[eligible]).tobytes()
+        assert np.all((0.0 <= rate[~eligible]) & (rate[~eligible] <= tol))
+        assert np.all(rate[(status == lp._BASIC) | ~movable] == 0.0)

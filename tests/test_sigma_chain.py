@@ -18,16 +18,16 @@ from tests.helpers import procedure_two_cold
 
 def recorder(monkeypatch):
     """Record every lcc and klcc solve, keyed by (kind, A, sigma), under
-    the mode that recorded[None] names, and count the warm attempts that
-    finished without falling back to the cold path."""
-    recorded = {None: "cold", "cold": {}, "chain": {}, "warm answers": 0}
-    real_warm = lp._warm_solve
+    the mode that recorded[None] names, and count the warm attempts whose
+    dual simplex finished."""
+    recorded = {None: "cold", "cold": {}, "chain": {}, "warm finishes": 0}
+    real_phase = lp._dual_phase
 
     def counted(*args):
-        answer = real_warm(*args)
-        recorded["warm answers"] += answer is not None
-        return answer
-    monkeypatch.setattr(lp, "_warm_solve", counted)
+        finished, pivots = real_phase(*args)
+        recorded["warm finishes"] += finished
+        return finished, pivots
+    monkeypatch.setattr(lp, "_dual_phase", counted)
     for kind, module in (("lcc", lcc), ("klcc", kernel)):
         def wrapped(problem, start=None, kind=kind, real=module.solve):
             solution = real(problem, start)
@@ -81,7 +81,7 @@ def test_chain_matches_the_cold_loop(shape, seed, monkeypatch):
     assert [started for _, started in chain.values()] == [
         sigma > first_optimum.get((kind, fold), 0.0)
         for kind, fold, sigma in chain]
-    assert recorded["warm answers"] == sum(
+    assert recorded["warm finishes"] == sum(
         started for _, started in chain.values()) > 0
 
     report = run_benchmark(config)
