@@ -8,6 +8,7 @@ unreadable or mismatched files), 2 for numeric failures during training
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -34,9 +35,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
-GEN_DEFAULT_M = 300
-GEN_DEFAULT_NOISE = 0.03
-GEN_DEFAULT_M_PER_CLASS = 200
+# each generator's options and their defaults; an integer default marks a
+# count
+GEN_OPTIONS = {"gaussian": {"m_per_class": 200},
+               **{shape: {"m": 300, "noise": 0.03} for shape in SHAPE_NAMES}}
 DEMO_BINS = 40
 PREDICT_BLOCK = 4096    # rows formatted per batch of Python numbers
 
@@ -59,7 +61,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_gen_spec(text: str, seed: int) -> Dataset:
     """Build a synthetic dataset from "name" or "name:key=val,key=val".
 
-    gaussian takes m_per_class; the planar shapes take m and noise.
+    GEN_OPTIONS names each generator's options; every value must be
+    finite and every count an integer.
     """
     name, _, tail = text.partition(":")
     name = name.strip()
@@ -75,28 +78,23 @@ def parse_gen_spec(text: str, seed: int) -> Dataset:
                 raise UsageError(
                     f"generator option {key.strip()!r} has non-numeric "
                     f"value {value!r}") from None
-
-    def take_int(key, default):
-        raw = options.pop(key, default)
-        if raw != int(raw):
+    if name not in GEN_OPTIONS:
+        raise UsageError(f"unknown generator {name!r}; choose from "
+                         + ", ".join(GEN_OPTIONS))
+    values = {}
+    for key, default in GEN_OPTIONS[name].items():
+        value = options.pop(key, default)
+        if not math.isfinite(value):
+            raise UsageError(f"generator option {key!r} must be finite")
+        if value != type(default)(value):
             raise UsageError(f"generator option {key!r} must be an integer")
-        return int(raw)
-
+        values[key] = type(default)(value)
+    if options:
+        raise UsageError(
+            f"unknown {name} option(s): {', '.join(sorted(options))}")
     if name == "gaussian":
-        m_per_class = take_int("m_per_class", GEN_DEFAULT_M_PER_CLASS)
-        if options:
-            raise UsageError(
-                f"unknown gaussian option(s): {', '.join(sorted(options))}")
-        return demo_gaussian_pair(m_per_class=m_per_class, seed=seed)
-    if name in SHAPE_NAMES:
-        m = take_int("m", GEN_DEFAULT_M)
-        noise = float(options.pop("noise", GEN_DEFAULT_NOISE))
-        if options:
-            raise UsageError(
-                f"unknown {name} option(s): {', '.join(sorted(options))}")
-        return gen_shape(name, m, noise, seed)
-    raise UsageError(f"unknown generator {name!r}; choose from gaussian, "
-                     + ", ".join(SHAPE_NAMES))
+        return demo_gaussian_pair(seed=seed, **values)
+    return gen_shape(name, seed=seed, **values)
 
 
 def _load_dataset(args) -> Dataset:
@@ -108,6 +106,14 @@ def _load_dataset(args) -> Dataset:
 def _out_path(out_dir: str, filename: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, filename)
+
+
+def _write(out_dir: str, filename: str, text: str) -> str:
+    """Write text to filename in out_dir, made if missing; the path."""
+    path = _out_path(out_dir, filename)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
 
 
 def _parse_width(raw: str) -> float | None:
@@ -186,9 +192,7 @@ def cmd_predict(args) -> int:
         sys.stdout.write(text)
         report = sys.stderr
     else:
-        path = _out_path(args.out, "predictions.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        path = _write(args.out, "predictions.csv", text)
         print(f"predictions written to {path}")
         report = sys.stdout
     if true_labels is not None:
@@ -211,9 +215,7 @@ def cmd_benchmark(args) -> int:
         data=data, methods=tuple(names), runs=args.runs, seed=args.seed,
         procedure=args.procedure, folds=args.folds, params=params)
     report = run_benchmark(config)
-    path = _out_path(args.out, "report.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_csv(report))
+    path = _write(args.out, "report.csv", report_to_csv(report))
     print(summary_table(report))
     print(f"report written to {path}")
     return EXIT_OK
@@ -254,16 +256,12 @@ def cmd_demo(args) -> int:
     ]
     rows = (_histogram_rows("before", before, ready.labels)
             + _histogram_rows("after", after, ready.labels))
-    hist_path = _out_path(args.out, "demo_histograms.csv")
-    with open(hist_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header + rows) + "\n")
+    hist_path = _write(args.out, "demo_histograms.csv",
+                       "\n".join(header + rows) + "\n")
 
     roc = roc_auc(model.score(ready.features), ready.labels)
-    roc_path = _out_path(args.out, "demo_roc.csv")
-    with open(roc_path, "w", encoding="utf-8") as fh:
-        fh.write("fpr,tpr\n")
-        fh.write("".join(f"{float(p[0])!r},{float(p[1])!r}\n"
-                         for p in roc.curve))
+    roc_path = _write(args.out, "demo_roc.csv", "fpr,tpr\n" + "".join(
+        f"{float(p[0])!r},{float(p[1])!r}\n" for p in roc.curve))
 
     neg_max = float(after[ready.labels == -1].max())
     pos_min = float(after[ready.labels == 1].min())

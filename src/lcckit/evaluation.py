@@ -431,10 +431,16 @@ def _normalized(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
                                            test.labels)))
 
 
-def _successes(records, name: str, attr: str) -> np.ndarray:
-    """attr of every run of the named method that did not fail."""
-    return np.array([getattr(r, attr) for r in records
-                     if r.method == name and r.error is None])
+def _successes(records) -> dict:
+    """Each method's train AUCs, test AUCs and fit ms over its runs that
+    did not fail, as the rows of a (3, runs) array; methods in the order
+    they first appear."""
+    rows = {r.method: [] for r in records}
+    for r in records:
+        if r.error is None:
+            rows[r.method].append((r.train_auc, r.test_auc, r.train_ms))
+    return {name: np.array(values, dtype=np.float64).reshape(-1, 3).T.copy()
+            for name, values in rows.items()}
 
 
 # errors recorded as a failed fit; a ParameterError ends the procedure
@@ -471,14 +477,12 @@ def _procedure_one(config: BenchmarkConfig, methods: list[Method],
             records.append(RunRecord(method.name, run, auc_tr, auc_te, ms,
                                      error))
 
-    attrs = ("train_auc", "test_auc", "train_ms")
+    table = _successes(records)
     p_values: tuple = ({}, {}, {})   # train, test, time
-    ref = [_successes(records, reference, a) for a in attrs]
     for name in (m.name for m in methods if m.name != reference):
-        other = [_successes(records, name, a) for a in attrs]
-        if ref[0].size and other[0].size:
-            for table, a, b in zip(p_values, ref, other):
-                table[name] = rank_sum_test(a, b)
+        if table[reference].size and table[name].size:
+            for p, a, b in zip(p_values, table[reference], table[name]):
+                p[name] = rank_sum_test(a, b)
     return EvalReport(1, reference, tuple(records), *p_values)
 
 
@@ -607,34 +611,24 @@ def summary_table(report: EvalReport) -> str:
                          f"{report.ranks[g.method]:>6.1f}")
         return "\n".join(lines) + "\n"
 
-    names = []
-    for r in report.records:
-        if r.method not in names:
-            names.append(r.method)
-
-    def stats(name, attr):
-        vals = _successes(report.records, name, attr)
-        if vals.size == 0:
+    def stats(values):
+        if values.size == 0:
             return math.nan, math.nan
-        return float(vals.mean()), float(vals.std())
+        return float(values.mean()), float(values.std())
 
+    table = _successes(report.records)
+    ref = [stats(v)[0] for v in table.get(report.reference, np.empty((3, 0)))]
     lines = [f"{'method':<8} {'train AUC':>16} {'test AUC':>16} "
              f"{'time ms':>12} {'failures':>9}"]
-    for name in names:
-        mt, st = stats(name, "train_auc")
-        me, se = stats(name, "test_auc")
-        mm, _ = stats(name, "train_ms")
+    for name, columns in table.items():
+        (mt, st), (me, se), (mm, _) = (stats(v) for v in columns)
         fails = sum(1 for r in report.records
                     if r.method == name and r.error is not None)
-        if name == report.reference or name not in report.p_test:
-            f_tr = f_te = f_ms = " "
-        else:
-            ref_tr = stats(report.reference, "train_auc")[0]
-            ref_te = stats(report.reference, "test_auc")[0]
-            ref_ms = stats(report.reference, "train_ms")[0]
-            f_tr = _flag(report.p_train[name], ref_tr, mt, True)
-            f_te = _flag(report.p_test[name], ref_te, me, True)
-            f_ms = _flag(report.p_time[name], ref_ms, mm, False)
+        f_tr = f_te = f_ms = " "
+        if name != report.reference and name in report.p_test:
+            f_tr = _flag(report.p_train[name], ref[0], mt, True)
+            f_te = _flag(report.p_test[name], ref[1], me, True)
+            f_ms = _flag(report.p_time[name], ref[2], mm, False)
         lines.append(f"{name:<8} {mt:>7.4f}±{st:<6.4f}{f_tr} "
                      f"{me:>7.4f}±{se:<6.4f}{f_te} "
                      f"{mm:>10.1f}{f_ms} {fails:>9d}")

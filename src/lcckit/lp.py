@@ -45,17 +45,18 @@ from the factored basis before the answer is read.  The answer is checked
 before it is returned: row residuals and bound violations must lie within
 the feasibility tolerance, or solve raises CyclingError.
 
-Every answer carries its final basis, its column statuses and, as a
-certificate, its largest wrong-sign reduced cost.  solve(problem, start)
-re-optimizes from the basis of start, an answer to a program of the same
-shape and c, by a bounded dual simplex (Koberstein, "The dual simplex
-method, techniques for a fast and stable implementation", PhD thesis,
-Paderborn, 2005; Maros, "A generalized dual phase-2 simplex algorithm",
-EJOR 149(1), 2003): that basis stays dual feasible when only b and the
-bounds move.  An attempt that cannot finish falls back to the cold path,
-whose iterations then include the attempt's pivots.  Pricing, the dual
-ratio test, the warm start's check and the certificate read one sign
-test, _descent: how fast each nonbasic variable can lower a linear form.
+Every answer carries its column statuses and, as a certificate, its
+largest wrong-sign reduced cost.  solve(problem, start) re-optimizes from
+the basis of start, an answer to a program of the same shape and c, by a
+bounded dual simplex (Koberstein, "The dual simplex method, techniques
+for a fast and stable implementation", PhD thesis, Paderborn, 2005;
+Maros, "A generalized dual phase-2 simplex algorithm", EJOR 149(1),
+2003): that basis, the columns start's statuses mark basic, stays dual
+feasible when only b and the bounds move.  An attempt that cannot finish
+falls back to the cold path, whose iterations then include the attempt's
+pivots.  Pricing, the dual ratio test, the warm start's check and the
+certificate read one sign test, _descent: how fast each nonbasic
+variable can lower a linear form.
 
 Everything is deterministic: identical problems produce bit-identical
 solutions.
@@ -158,17 +159,19 @@ class LpSolution:
     x: np.ndarray | None
     objective_value: float | None
     iterations: int
-    basis: np.ndarray | None = None     # (r,) column at each basis position
     statuses: np.ndarray | None = None  # (d + r,) structural and slack codes
     dual_infeasibility: float = float("nan")
 
     def __post_init__(self) -> None:
         if self.status not in ("optimal", "infeasible", "unbounded"):
             raise LpFormatError(f"unknown status {self.status!r}")
-        for name in ("x", "basis", "statuses"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _frozen(
-                    getattr(self, name), np.float64 if name == "x" else None))
+        if self.x is not None:
+            object.__setattr__(self, "x", _frozen(self.x, np.float64))
+        if self.statuses is not None:
+            codes = np.asarray(self.statuses)
+            if not ((_AT_LOWER <= codes) & (codes <= _BASIC)).all():
+                raise LpFormatError("statuses must be codes 0 to 3")
+            object.__setattr__(self, "statuses", _frozen(codes, np.int8))
 
 
 def format_problem(problem: LpProblem) -> str:
@@ -226,8 +229,9 @@ class _Tableau:
         self.d = d
         if start is None:
             self._crash(problem)
-        else:  # start's basis; every nonbasic variable at its bound
-            self.status, self.basis = start.statuses.copy(), start.basis.copy()
+        else:  # the columns start marks basic; the rest at their bounds
+            self.status = start.statuses.copy()
+            self.basis = np.flatnonzero(self.status == _BASIC)
             self.x = np.where(self.status == _AT_UPPER, self.upper, self.lower)
 
     def _crash(self, problem: LpProblem) -> None:
@@ -368,15 +372,13 @@ def _descent(status: np.ndarray, v: np.ndarray,
     return np.abs(v) * (lowers & movable)
 
 
-def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
-                   cap: int, stall_limit: int,
-                   allow_unbounded: bool) -> tuple[str, int]:
+def _simplex_phase(tab: _Tableau, c: np.ndarray, cap: int,
+                   stall_limit: int) -> tuple[str, int]:
     """Run simplex pivots until optimality for the given objective.
 
-    Returns ("optimal" | "unbounded", iterations_used_so_far).  Raises
-    CyclingError if the cap is exhausted.
+    Returns ("optimal" | "unbounded", pivots).  Raises CyclingError if
+    cap pivots reach neither.
     """
-    iteration = start_iter
     # stalls count from the objective at entry; an infinite start would
     # make the tolerance below NaN and every pivot look like a stall
     best_objective = float(c @ tab.x)
@@ -384,11 +386,7 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
     use_bland = False
     movable = tab.upper - tab.lower > 0  # fixed variables never enter
 
-    while True:
-        if iteration >= cap:
-            raise CyclingError(
-                f"no optimum after {cap} iterations: cycling suspected")
-
+    for iteration in range(cap):
         reduced = c - tab.dot(tab.btran(c[tab.basis]))
         rate = _descent(tab.status, reduced, movable)
         eligible = (rate > PIVOT_TOLERANCE).nonzero()[0]
@@ -410,15 +408,11 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
                            where=np.abs(delta) > PIVOT_TOLERANCE)
         np.maximum(ratios, 0.0, out=ratios)  # numerical drift guard
 
-        span = tab.upper[entering] - tab.lower[entering]
-        t_own = span if np.isfinite(span) else np.inf
+        t_own = tab.upper[entering] - tab.lower[entering]
         t_block = ratios.min() if ratios.size else np.inf
         step = min(t_own, t_block)
-
         if not np.isfinite(step):
-            if allow_unbounded:
-                return "unbounded", iteration
-            raise CyclingError("phase-1 objective unbounded: numerical trouble")
+            return "unbounded", iteration
 
         objective_now = float(c @ tab.x)
         if objective_now < best_objective - 1e-9 * (1.0 + abs(best_objective)):
@@ -429,7 +423,6 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
             if stalled > stall_limit:
                 use_bland = True
 
-        iteration += 1
         if step == t_own and t_own < t_block:
             # bound flip: entering runs to its other bound, basis unchanged
             tab.x[tab.basis] = basic_values + delta * step
@@ -450,6 +443,7 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, start_iter: int,
         # test, so the new basis, and with it F, is nonsingular
         tab.pivot(leave_pos, entering, delta * step, direction * step,
                   delta[leave_pos] > 0)
+    raise CyclingError(f"no optimum after {cap} iterations: cycling suspected")
 
 
 def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
@@ -529,8 +523,8 @@ def _answer(tab: _Tableau, problem: LpProblem, c: np.ndarray, status: str,
                 f"{worst_row:.3g}, bound excess {worst_bound:.3g}, "
                 f"tolerance {tolerance:.3g}")
         objective = float(problem.c @ x)
-    return LpSolution(status, x, objective, iterations, tab.basis,
-                      tab.status[:d + r], _dual_infeasibility(tab, c))
+    return LpSolution(status, x, objective, iterations, tab.status[:d + r],
+                      _dual_infeasibility(tab, c))
 
 
 def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
@@ -548,9 +542,9 @@ def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
         1.0 + np.abs(problem.b).max(initial=0.0))
     c = np.concatenate([problem.c, np.zeros(r)])
     spent = 0  # the pivots of a warm attempt that fell back
-    if (start is not None and start.basis is not None
-            and start.basis.shape == (r,) and start.statuses.shape == (d + r,)
-            and start.basis.max(initial=-1) < d + r):
+    statuses = None if start is None else start.statuses
+    if (statuses is not None and statuses.shape == (d + r,)
+            and np.count_nonzero(statuses == _BASIC) == r):
         tab = _Tableau(problem, start)
         try:
             tab.factor()
@@ -575,9 +569,11 @@ def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
     if tab.x.size > d + r:  # phase 1 prices out the artificials
         phase1_c = np.zeros(tab.x.size)
         phase1_c[d + r:] = 1.0
-        _, iterations = _simplex_phase(
-            tab, phase1_c, 0, max_iterations, stall_limit,
-            allow_unbounded=False)
+        status, iterations = _simplex_phase(tab, phase1_c, max_iterations,
+                                            stall_limit)
+        if status == "unbounded":
+            raise CyclingError("phase-1 objective unbounded: numerical "
+                               "trouble")
         if float(tab.x[d + r:].sum()) > tolerance:
             return _answer(tab, problem, phase1_c, "infeasible",
                            spent + iterations, tolerance)
@@ -587,7 +583,7 @@ def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
         np.clip(tab.x[d + r:], 0.0, None, out=tab.x[d + r:])
         c = np.concatenate([c, np.zeros(tab.x.size - d - r)])
 
-    status, iterations = _simplex_phase(
-        tab, c, iterations, max_iterations, stall_limit,
-        allow_unbounded=True)
-    return _answer(tab, problem, c, status, spent + iterations, tolerance)
+    status, pivots = _simplex_phase(tab, c, max_iterations - iterations,
+                                    stall_limit)
+    return _answer(tab, problem, c, status, spent + iterations + pivots,
+                   tolerance)

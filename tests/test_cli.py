@@ -279,6 +279,43 @@ def test_gen_spec_parsing_and_errors():
             parse_gen_spec(bad, seed=1)
 
 
+GEN_SPEC_ERRORS = {
+    # non-finite values, each named by its option
+    "circles:m=nan": "generator option 'm' must be finite",
+    "gaussian:m_per_class=inf": "generator option 'm_per_class' must be "
+                                "finite",
+    "spiral:noise=nan": "generator option 'noise' must be finite",
+    "circles:noise=-inf": "generator option 'noise' must be finite",
+    "circles:m=nan,x=1": "generator option 'm' must be finite",
+    # the options are read in table order, counts before unknown names
+    "circles:m=2.5,x=1": "generator option 'm' must be an integer",
+    "circles:noise=nan,m=2.5": "generator option 'm' must be an integer",
+    "gaussian:m_per_class=2.5,x=1": "generator option 'm_per_class' must "
+                                    "be an integer",
+    "gaussian:m=2.5": "unknown gaussian option(s): m",
+    "flame_like:m=10,zz=2,aa=1": "unknown flame_like option(s): aa, zz",
+    "circles:x=nan": "unknown circles option(s): x",
+    # the spec is parsed before the generator is looked up
+    "shrub:x": "generator option 'x' is not key=val",
+    "spiral:noise=abc": "generator option 'noise' has non-numeric value "
+                        "'abc'",
+    "shrub:m=nan": "unknown generator 'shrub'; choose from gaussian, "
+                   "circles, spiral, jain_like, flame_like",
+    # values the generators themselves refuse
+    "circles:m=2": "shape generators need m >= 4",
+    "circles:noise=-1": "noise must be non-negative",
+    "gaussian:m_per_class=0": "m_per_class must be at least 1",
+}
+
+
+@pytest.mark.parametrize("spec", GEN_SPEC_ERRORS)
+def test_gen_spec_errors_exit_1_naming_the_problem(spec, tmp_path, capsys):
+    assert main(["benchmark", "--gen", spec, "--method", "lda",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (f"lcckit benchmark: error: "
+                                       f"{GEN_SPEC_ERRORS[spec]}\n")
+
+
 def test_train_klcc_rbf_circles_reports_high_accuracy(tmp_path, capsys):
     rc = main(["train", "--gen", "circles:m=300,noise=0.03",
                "--method", "klcc", "--kernel", "rbf",

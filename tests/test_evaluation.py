@@ -10,6 +10,9 @@ from lcckit.evaluation import (
     GRID_SVM_LAMBDA,
     BenchmarkConfig,
     EvalError,
+    EvalReport,
+    GridRecord,
+    RunRecord,
     aggregate_ranks,
     check_methods,
     rank_sum_test,
@@ -376,6 +379,49 @@ def test_procedure_two_grid_and_ranks():
     csv = report_to_csv(report)
     assert csv.startswith("method,param_name")
     assert summary_table(report)
+
+
+def test_summary_table_procedure_one_text():
+    # lcc is the reference; lda has a failed run and the flags +, * and -;
+    # fqcc and klcc are missing from the p-values, and klcc never fitted
+    nan = math.nan
+    records = [RunRecord(*row) for row in (
+        ("lda", 0, 0.91, 0.88, 2.5), ("lcc", 0, 0.9, 0.85, 12.0),
+        ("svm", 0, 0.8, 0.9, 30.0),
+        ("fqcc", 0, nan, nan, nan, "TrainingError: no fit"),
+        ("lda", 1, nan, nan, nan, "LinAlgError: singular"),
+        ("lcc", 1, 0.8, 0.75, 10.0), ("svm", 1, 0.7, 0.95, 31.5),
+        ("fqcc", 1, 0.6, 0.6, 400.0),
+        ("lda", 2, 0.95, 0.7, 1.5), ("lcc", 2, 0.85, 0.8, 11.0),
+        ("svm", 2, 0.75, 0.8, 29.0),
+        ("klcc", 0, nan, nan, nan, "CyclingError: stuck"))]
+    report = EvalReport(1, "lcc", tuple(records),
+                        p_train={"lda": 0.01, "svm": 0.04},
+                        p_test={"lda": 0.02, "svm": 0.049},
+                        p_time={"lda": 0.5, "svm": 0.001})
+    assert summary_table(report) == (
+        "method          train AUC         test AUC      time ms  failures\n"
+        "lda       0.9300±0.0200+  0.7900±0.0900*        2.0-         1\n"
+        "lcc       0.8500±0.0408   0.8000±0.0408        11.0          0\n"
+        "svm       0.7500±0.0408*  0.8833±0.0624+       30.2*         0\n"
+        "fqcc      0.6000±0.0000   0.6000±0.0000       400.0          1\n"
+        "klcc         nan±nan         nan±nan            nan          1\n")
+
+
+def test_summary_table_procedure_two_text_with_tied_ranks():
+    grid = (GridRecord("lda", "lambda_reg", 0.2, 0.875, (0.8, 0.95)),
+            GridRecord("lcc", "sigma", -0.0078125, 0.9125, (0.9, 0.925)),
+            GridRecord("klcc", "sigma", -128.0, 0.9125, (0.925, 0.9)),
+            GridRecord("svm", "lambda", 1e-06, 0.5, (0.5, 0.5)))
+    report = EvalReport(2, "lcc", grid_records=grid,
+                        ranks={"lda": 2.0, "lcc": 0.5, "klcc": 0.5,
+                               "svm": 3.0})
+    assert summary_table(report) == (
+        "method   parameter      best value   best AUC   rank\n"
+        "lcc      sigma          -0.0078125     0.9125    0.5\n"
+        "klcc     sigma                -128     0.9125    0.5\n"
+        "lda      lambda_reg            0.2     0.8750    2.0\n"
+        "svm      lambda              1e-06     0.5000    3.0\n")
 
 
 def test_ranks_zero_indexed_with_tie_correction():

@@ -483,6 +483,35 @@ def test_start_from_another_shape_gives_the_cold_answer(monkeypatch):
     assert warm.x.tobytes() == cold.x.tobytes()
 
 
+def test_warm_start_reads_its_basis_from_the_statuses(monkeypatch):
+    # minimize -x - 2y subject to x + y <= 4, x <= 3 on the box [0, 10]:
+    # the optimum is (0, 4) at -8, with y and the second slack basic
+    problem = make([-1.0, -2.0], [[1.0, 1.0], [1.0, 0.0]], ("<=", "<="),
+                   [4.0, 3.0], [0.0, 0.0], [10.0, 10.0])
+    cold = solve(problem)
+    assert (cold.objective_value, cold.iterations) == (-8.0, 3)
+
+    def start(codes):
+        return LpSolution("optimal", None, None, 0, np.array(codes))
+
+    runs = record_dual_phases(monkeypatch)
+    # two bases that are not dual feasible, then r - 1 and r + 1 basic
+    # codes: each start is refused before any pivot
+    for codes in ((0, 0, 3, 3), (3, 0, 0, 3), (3, 0, 0, 0), (3, 3, 3, 0)):
+        warm = solve(problem, start(codes))
+        assert runs == [], codes
+        assert warm.x.tobytes() == cold.x.tobytes(), codes
+        assert (warm.status, warm.objective_value, warm.iterations) == (
+            "optimal", -8.0, cold.iterations), codes
+    warm = solve(problem, start((0, 3, 0, 3)))
+    assert runs == [(True, 0)]
+    assert (warm.objective_value, warm.iterations) == (-8.0, 0)
+    assert warm.statuses.tolist() == cold.statuses.tolist() == [0, 3, 0, 3]
+    for code in (7, -1):
+        with pytest.raises(LpFormatError, match="codes 0 to 3"):
+            start((0, code, 0, 3))
+
+
 def test_dual_infeasibility_reads_the_crash_basis_as_not_optimal():
     problem = centralization_pair(2.0, 2.0, -2.0 ** -7, -2.0 ** -7)[0]
     tab = lp._Tableau(problem)
