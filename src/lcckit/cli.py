@@ -62,7 +62,8 @@ def parse_gen_spec(text: str, seed: int) -> Dataset:
     """Build a synthetic dataset from "name" or "name:key=val,key=val".
 
     GEN_OPTIONS names each generator's options; every value must be
-    finite and every count an integer.
+    finite and every count an integer.  A count numpy cannot allocate is
+    a usage error that names the count.
     """
     name, _, tail = text.partition(":")
     name = name.strip()
@@ -92,9 +93,17 @@ def parse_gen_spec(text: str, seed: int) -> Dataset:
     if options:
         raise UsageError(
             f"unknown {name} option(s): {', '.join(sorted(options))}")
-    if name == "gaussian":
-        return demo_gaussian_pair(seed=seed, **values)
-    return gen_shape(name, seed=seed, **values)
+    try:
+        if name == "gaussian":
+            return demo_gaussian_pair(seed=seed, **values)
+        return gen_shape(name, seed=seed, **values)
+    except DataError:
+        raise
+    except (ValueError, MemoryError) as exc:
+        count = next(key for key, default in GEN_OPTIONS[name].items()
+                     if isinstance(default, int))
+        raise UsageError(f"generator option {count!r} is too large: "
+                         f"{exc}") from None
 
 
 def _load_dataset(args) -> Dataset:

@@ -123,11 +123,10 @@ class KernelLccModel(Centralizer):
 
 def assemble_klcc_lp(train: Dataset, spec: KernelSpec, lam: float,
                      sigma: float) -> LpProblem:
-    """The linear program over Gram rows instead of features.
-
-    Exactly m + 1 rows and 2m variables.
-    """
-    return _centralization_lp(lambda f: gram(spec, f), train, lam, sigma)[0]
+    """The linear program over Gram rows instead of features: exactly
+    m + 1 rows and 2m variables."""
+    return _centralization_lp(lambda f: gram(spec, f), train, lam,
+                              sigma)[0](sigma)
 
 
 def klcc_path(train: Dataset, spec: KernelSpec,

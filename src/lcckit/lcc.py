@@ -26,7 +26,6 @@ every restart's value and subgradient from one projection of the rows.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,17 +62,15 @@ def _check_params(lam: float, sigma: float) -> None:
 
 
 def _centralization_lp(coords_of, train: Dataset, lam: float, sigma: float):
-    """(problem, center_neg, center_pos): the separation LP over the m
-    rows of coords_of(train.features) (features for lcc, Gram rows for
-    klcc), with m instance rows, one center-gap row and variables (k
-    coefficients, m slacks), and the class means of those rows; lam,
-    sigma and both classes are checked before coords_of runs."""
+    """(at, center_neg, center_pos): at(sigma) is the separation LP over
+    the m rows of coords_of(train.features) (features for lcc, Gram rows
+    for klcc), and the centers are their class means.  lam, sigma and both
+    classes are checked before coords_of runs."""
     _check_params(lam, sigma)
     require_both_classes(train, "the centralization program")
     coords = coords_of(train.features)
     labels = train.labels
-    center_neg = coords[labels == -1].mean(axis=0)
-    center_pos = coords[labels == 1].mean(axis=0)
+    center_neg, center_pos = (coords[labels == y].mean(0) for y in (-1, 1))
     m, k = coords.shape
     c = np.concatenate([center_neg - center_pos, np.full(m, lam)])
     A = np.zeros((m + 1, k + m))
@@ -82,11 +79,15 @@ def _centralization_lp(coords_of, train: Dataset, lam: float, sigma: float):
     A[:m, k:] = -np.eye(m)
     # projected center of -1 must sit at least |sigma| below that of +1
     A[m, :k] = center_neg - center_pos
-    b = np.concatenate([np.zeros(m), [sigma]])
-    lower = np.concatenate([np.full(k, -1.0), np.full(m, sigma)])
+    b, lower = np.zeros(m + 1), np.full(k + m, -1.0)
     upper = np.concatenate([np.full(k, 1.0), np.full(m, np.inf)])
-    return (LpProblem(c, A, ("<=",) * (m + 1), b, lower, upper),
-            center_neg, center_pos)
+    def at(sigma: float) -> LpProblem:
+        nonlocal A  # LpProblem copies its arrays; then hold its A, not ours
+        b[m] = lower[k:] = sigma
+        problem = LpProblem(c, A, ("<=",) * (m + 1), b, lower, upper)
+        A = problem.A
+        return problem
+    return at, center_neg, center_pos
 
 
 def assemble_lcc_lp(train: Dataset, lam: float, sigma: float) -> LpProblem:
@@ -95,7 +96,7 @@ def assemble_lcc_lp(train: Dataset, lam: float, sigma: float) -> LpProblem:
     Variables are (beta_1..beta_n, eps_1..eps_m), so the program has
     exactly m + 1 rows and m + n columns.
     """
-    return _centralization_lp(np.asarray, train, lam, sigma)[0]
+    return _centralization_lp(np.asarray, train, lam, sigma)[0](sigma)
 
 
 class Classifier:
@@ -178,29 +179,29 @@ def model_from_beta(train: Dataset, beta: np.ndarray, lam: float,
 def _centralization_path(coords_of, train: Dataset, lam: float, solver,
                          model):
     """fit(sigma) -> model(coefficients, c_neg_hat, c_pos_hat, l_hat, lam,
-    sigma, slacks) over the rows of coords_of(train.features), built once.
-    solver is the caller's lp.solve; each solve starts from the last optimal
-    one, as sigma moves only b and the bounds, so its basis stays dual
-    feasible for the dual simplex."""
-    coords = functools.cache(lambda: coords_of(train.features))
-    start = None
+    sigma, slacks) on coords_of(train.features), whose LP is built on the
+    first fit; a sigma past its L1 gap is refused unsolved.  Each solve, by
+    the caller's lp.solve, starts from the last optimal basis, which stays
+    dual feasible for the dual simplex as sigma moves only b and bounds."""
+    program = start = None
 
     def fit(sigma: float):
-        nonlocal start
-        problem, center_neg, center_pos = _centralization_lp(
-            lambda _: coords(), train, lam, sigma)
-        solution = solver(problem, start)
-        if solution.status == "infeasible":
-            gap = float(np.abs(center_pos - center_neg).sum())
+        nonlocal program, start
+        _check_params(lam, sigma)
+        at, center_neg, center_pos = program = program or _centralization_lp(
+            coords_of, train, lam, sigma)
+        gap = float(np.abs(center_pos - center_neg).sum())
+        if -sigma > gap:
             raise TrainingError(
                 f"no projection can separate the class centers by |sigma|="
                 f"{-sigma:g}: classes have (near-)identical centers or "
                 f"|sigma| exceeds the center gap bound (L1 gap {gap:g} < "
                 f"{-sigma:g})")
+        solution = solver(at(sigma), start)
         if solution.status != "optimal":
             raise TrainingError(
                 f"unexpected solver status {solution.status!r}")
-        start, k = solution, problem.num_vars - train.m
+        start, k = solution, center_neg.size
         coefficients = solution.x[:k]
         return model(coefficients, *_projected_centers(
             coefficients, center_neg, center_pos), float(lam), float(sigma),

@@ -9,7 +9,9 @@ value, a row-by-row loop for the simplex crash basis, and one restart
 after another for the quadratic-criterion fit.  None of them share code
 with the package under test, except procedure_two_cold: it runs the
 package's own cold fits one grid value at a time, as procedure 2 did
-before its sigma chain, and so checks the chain, not the fits.
+before its sigma chain, and so checks the chain, not the fits.  The
+last helpers split folds as procedure 2 does, count the calls a module
+makes to one of its names, and list the sigmas a path refuses.
 """
 
 from __future__ import annotations
@@ -390,14 +392,10 @@ def procedure_two_cold(config):
     values and folds, each fit cold and on its own: tables[method][value]
     holds the fold AUCs, and the best value is the first strict maximum
     of the mean over the folds whose fit succeeded."""
-    from lcckit.evaluation import (METHODS, GridRecord, _normalized, fit,
-                                   roc_auc, stratified_kfold)
+    from lcckit.evaluation import METHODS, GridRecord, fit, roc_auc
     from lcckit.lcc import ParameterError
 
-    data = config.data
-    splits = [_normalized(data.take(np.delete(np.arange(data.m), held)),
-                          data.take(held))
-              for held in stratified_kfold(data, config.folds, config.seed)]
+    splits = procedure_two_folds(config.data, config.folds, config.seed)
     tables, records = {}, []
     for name in config.methods:
         method, best = METHODS[name], None
@@ -422,3 +420,43 @@ def procedure_two_cold(config):
         records.append(GridRecord(name, method.param_name, best[1], best[0],
                                   best[2]))
     return tables, records
+
+
+def procedure_two_folds(data, folds, seed):
+    """Procedure 2's (train, test) pair of each fold, normalized by the
+    train part."""
+    from lcckit.evaluation import _normalized, stratified_kfold
+
+    return [_normalized(data.take(np.delete(np.arange(data.m), held)),
+                        data.take(held))
+            for held in stratified_kfold(data, folds, seed)]
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that gains the arguments of each call the module makes to
+    its name, which still runs."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def grid_refusals(fit, assemble, grid):
+    """(refused, infeasible): the grid sigmas that the path fit, run from
+    the smallest up, refuses, and those whose program assemble(sigma)
+    solves cold as infeasible."""
+    from lcckit import lp
+    from lcckit.lcc import TrainingError
+
+    refused, infeasible = set(), set()
+    for sigma in sorted(grid):
+        try:
+            fit(sigma)
+        except TrainingError:
+            refused.add(sigma)
+        if lp.solve(assemble(sigma)).status == "infeasible":
+            infeasible.add(sigma)
+    return refused, infeasible

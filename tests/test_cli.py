@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lcckit import cli
 from lcckit.cli import main, parse_gen_spec
 from lcckit.data import _BLANK, demo_gaussian_pair, read_matrix
 
@@ -130,6 +131,30 @@ def test_predict_01_labels_scored_for_accuracy(tmp_path, capsys):
     assert main(["predict", "--model", str(out / "model.txt"),
                  "--data", str(csv_path), "--out", str(out)]) == 0
     assert "accuracy" in capsys.readouterr().out
+
+
+# what `lcckit train --gen gaussian --seed 0` prints for fqcc (its slack
+# range) and svm (its hinge objective); the model-file line follows
+TRAIN_STDOUT = {
+    "fqcc": ["method fqcc",
+             "trained on 400 instances, 2 of 2 feature(s) kept",
+             "objective -11.52300113",
+             "epsilons min/mean/max -0.01 / -0.01 / -0.01",
+             "center gap 3.523 (c_neg_hat -1.7615, c_pos_hat 1.7615)",
+             "train accuracy 1.0000"],
+    "svm": ["method svm",
+            "trained on 400 instances, 2 of 2 feature(s) kept",
+            "objective 0.5552802524",
+            "train accuracy 0.9950"],
+}
+
+
+@pytest.mark.parametrize("method", TRAIN_STDOUT)
+def test_train_prints_the_pinned_summary(method, tmp_path, capsys):
+    assert main(["train", "--gen", "gaussian", "--seed", "0", "--method",
+                 method, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == TRAIN_STDOUT[method] + [
+        f"model written to {tmp_path / 'model.txt'}"]
 
 
 def test_train_infeasible_sigma_exits_2_citing_bound(tmp_path, capsys):
@@ -314,6 +339,34 @@ def test_gen_spec_errors_exit_1_naming_the_problem(spec, tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == (f"lcckit benchmark: error: "
                                        f"{GEN_SPEC_ERRORS[spec]}\n")
+
+
+@pytest.mark.parametrize("spec, option", [("circles:m=1e20", "m"),
+                                          ("gaussian:m_per_class=1e30",
+                                           "m_per_class")])
+def test_gen_count_numpy_cannot_shape_exits_1(spec, option, tmp_path,
+                                              capsys):
+    # numpy refuses these shapes before it allocates anything
+    assert main(["benchmark", "--gen", spec, "--method", "lda",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"lcckit benchmark: error: generator option {option!r} is too "
+        f"large: Maximum allowed dimension exceeded\n")
+
+
+def test_gen_count_past_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # circles:m=1e12 asks numpy for 3.64 TiB; the generator stands in for
+    # that allocation, so the test allocates nothing
+    def out_of_memory(shape, m, noise, seed):
+        assert (shape, m) == ("circles", 10 ** 12)
+        raise MemoryError("Unable to allocate 3.64 TiB")
+
+    monkeypatch.setattr(cli, "gen_shape", out_of_memory)
+    assert main(["benchmark", "--gen", "circles:m=1e12", "--method", "lda",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "lcckit benchmark: error: generator option 'm' is too large: "
+        "Unable to allocate 3.64 TiB\n")
 
 
 def test_train_klcc_rbf_circles_reports_high_accuracy(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lcckit.kernel
+from lcckit import lcc
 from lcckit.data import (
     DataError,
     Dataset,
@@ -16,11 +17,14 @@ from lcckit.kernel import (
     assemble_klcc_lp,
     gram,
     kernel_eval,
+    klcc_path,
     median_pairwise_distance,
     train_klcc,
 )
+from lcckit.evaluation import GRID_SIGMA, METHODS, PARAM_DEFAULTS, _grid_aucs
 from lcckit.lcc import ParameterError, TrainingError, train_lcc
 from lcckit.model_io import SavedClassifier, predict_saved
+from tests.helpers import count_calls, grid_refusals, procedure_two_folds
 
 
 def test_kernel_spec_validation():
@@ -156,7 +160,7 @@ def test_infeasible_in_kernel_space():
         train_klcc(ds, KernelSpec("linear"))
 
 
-def test_infeasible_sigma_beyond_gram_row_gap():
+def test_infeasible_sigma_beyond_gram_row_gap(monkeypatch):
     # the klcc program's centers are the mean Gram rows of each class, so
     # it is feasible exactly when |sigma| is at most their L1 gap
     ds = demo_gaussian_pair(m_per_class=15, seed=4)
@@ -164,10 +168,38 @@ def test_infeasible_sigma_beyond_gram_row_gap():
     K = gram(spec, ds.features)
     gap = float(np.abs(K[ds.labels == 1].mean(axis=0)
                        - K[ds.labels == -1].mean(axis=0)).sum())
-    with pytest.raises(TrainingError, match="identical centers") as info:
-        train_klcc(ds, spec, sigma=-1.01 * gap)
-    assert f"(L1 gap {gap:g} < {1.01 * gap:g})" in str(info.value)
-    train_klcc(ds, spec, sigma=-0.99 * gap)  # still inside the bound
+    solves = count_calls(monkeypatch, lcckit.kernel, "solve")
+    for past in (1.01, 1 + 1e-9):
+        with pytest.raises(TrainingError, match="identical centers") as info:
+            train_klcc(ds, spec, sigma=-past * gap)
+        assert f"(L1 gap {gap:g} < {past * gap:g})" in str(info.value)
+    assert solves == []  # refused in closed form, before a solve
+    for sigma in (-0.99 * gap, -(1 - 1e-9) * gap):  # still inside the bound
+        assert train_klcc(ds, spec, sigma=sigma).sigma == sigma
+    assert len(solves) == 2
+
+
+def test_a_procedure_two_path_builds_one_gram_matrix_and_program(
+        monkeypatch):
+    [(train, test)] = procedure_two_folds(
+        gen_shape("jain_like", 150, 0.1, 0), 5, 0)[:1]
+    builds = count_calls(monkeypatch, lcc, "_centralization_lp")
+    grams = count_calls(monkeypatch, lcckit.kernel, "gram")
+    aucs = _grid_aucs(METHODS["klcc"], dict(PARAM_DEFAULTS), train, test, 0)
+    assert len(builds) == len(grams) == 1
+    # the grid holds refused values (NaN) and fitted ones
+    assert 0 < np.isnan(aucs).sum() < len(aucs)
+
+
+def test_refusals_are_the_infeasible_grid_programs():
+    for train, _ in procedure_two_folds(
+            gen_shape("jain_like", 150, 0.1, 0), 5, 0)[:3]:
+        spec = KernelSpec("rbf", median_pairwise_distance(train.features))
+        refused, infeasible = grid_refusals(
+            klcc_path(train, spec),
+            lambda s: assemble_klcc_lp(train, spec, lcc.DEFAULT_LAMBDA, s),
+            GRID_SIGMA)
+        assert refused == infeasible and refused
 
 
 def test_kernel_eval_width_mismatch():

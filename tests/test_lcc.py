@@ -1,10 +1,12 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from lcckit import lcc
-from lcckit.data import Dataset, demo_gaussian_pair
+from lcckit.data import Dataset, demo_gaussian_pair, gen_shape
+from lcckit.evaluation import GRID_SIGMA, METHODS, PARAM_DEFAULTS, _grid_aucs
 from lcckit.lcc import (
     DEFAULT_LAMBDA,
     DEFAULT_SIGMA,
@@ -15,11 +17,13 @@ from lcckit.lcc import (
     class_centers,
     fqcc_epsilons,
     fqcc_objective,
+    lcc_path,
     model_from_beta,
     train_fqcc,
     train_lcc,
 )
-from tests.helpers import fqcc_serial_oracle
+from tests.helpers import (count_calls, fqcc_serial_oracle, grid_refusals,
+                           procedure_two_folds)
 
 
 def toy_1d():
@@ -118,11 +122,36 @@ def test_infeasible_identical_centers():
         train_lcc(ds)
 
 
-def test_infeasible_sigma_too_large():
+def test_infeasible_sigma_too_large(monkeypatch):
     ds = toy_1d()  # center gap is 4
-    with pytest.raises(TrainingError, match="sigma"):
-        train_lcc(ds, sigma=-5.0)
-    train_lcc(ds, sigma=-3.9)  # still inside the gap bound
+    solves = count_calls(monkeypatch, lcc, "solve")
+    for sigma in (-5.0, -4.0 * (1 + 1e-9)):
+        with pytest.raises(TrainingError, match=re.escape(
+                f"(L1 gap 4 < {-sigma:g})")):
+            train_lcc(ds, sigma=sigma)
+    assert solves == []  # refused in closed form, before a solve
+    for sigma in (-3.9, -4.0 * (1 - 1e-9)):  # still inside the gap bound
+        assert train_lcc(ds, sigma=sigma).sigma == sigma
+    assert len(solves) == 2
+
+
+def test_a_procedure_two_path_builds_its_program_once(monkeypatch):
+    [(train, test)] = procedure_two_folds(
+        gen_shape("jain_like", 150, 0.1, 0), 5, 0)[:1]
+    builds = count_calls(monkeypatch, lcc, "_centralization_lp")
+    aucs = _grid_aucs(METHODS["lcc"], dict(PARAM_DEFAULTS), train, test, 0)
+    assert len(builds) == 1
+    # the grid holds refused values (NaN) and fitted ones
+    assert 0 < np.isnan(aucs).sum() < len(aucs)
+
+
+def test_refusals_are_the_infeasible_grid_programs():
+    for train, _ in procedure_two_folds(
+            gen_shape("jain_like", 150, 0.1, 0), 5, 0)[:3]:
+        refused, infeasible = grid_refusals(
+            lcc_path(train),
+            lambda s: assemble_lcc_lp(train, DEFAULT_LAMBDA, s), GRID_SIGMA)
+        assert refused == infeasible and refused
 
 
 def test_model_from_beta_matches_training_geometry():

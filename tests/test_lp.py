@@ -11,7 +11,8 @@ from lcckit.kernel import KernelSpec, assemble_klcc_lp, median_pairwise_distance
 from lcckit.lcc import assemble_lcc_lp
 from lcckit.lp import (CyclingError, LpFormatError, LpProblem, LpSolution,
                        format_problem, solve)
-from tests.helpers import crash_loop, lp_brute_force, random_box_lp
+from tests.helpers import (count_calls, crash_loop, lp_brute_force,
+                           random_box_lp)
 
 
 def make(c, A, relations, b, lower, upper):
@@ -167,6 +168,25 @@ def test_matches_brute_force_on_random_box_lps():
         assert sol.objective_value == pytest.approx(best, abs=1e-6)
         assert residuals_ok(problem, sol.x)
         checked += 1
+
+
+def test_blands_rule_from_the_first_pivot_matches_brute_force(monkeypatch):
+    # with no stall allowed, the first pivot already counts as one: it
+    # leaves by Bland's rule, and every later pivot enters by it too
+    real_phase = lp._simplex_phase
+    monkeypatch.setattr(lp, "_simplex_phase",
+                        lambda tab, c, cap, stall_limit: real_phase(
+                            tab, c, cap, 0))
+    pivots = count_calls(monkeypatch, lp._Tableau, "pivot")
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        raw = random_box_lp(rng)
+        status, best = lp_brute_force(*raw)
+        sol = solve(make(*raw))
+        assert sol.status == status, format_problem(make(*raw))
+        if status == "optimal":
+            assert sol.objective_value == pytest.approx(best, abs=1e-6)
+    assert len(pivots) > 300
 
 
 def test_deterministic_bit_for_bit():
@@ -510,6 +530,33 @@ def test_warm_start_reads_its_basis_from_the_statuses(monkeypatch):
     for code in (7, -1):
         with pytest.raises(LpFormatError, match="codes 0 to 3"):
             start((0, code, 0, 3))
+
+
+def test_start_with_a_singular_basis_gives_the_cold_answer(monkeypatch):
+    # x0 and x1 share their column, so a start that marks both basic makes
+    # F singular: factor raises, and the warm attempt falls back
+    problem = make([-1.0, -1.0, -1.0], [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]],
+                   ("<=", "<="), [2.0, 3.0], [0.0] * 3, [10.0] * 3)
+    cold = solve(problem)
+    assert cold.x.tolist() == [0.0, 2.0, 1.0]
+    assert (cold.objective_value, cold.iterations) == (-3.0, 3)
+    raised, real_factor = [], lp._Tableau.factor
+
+    def factor(tab):
+        try:
+            real_factor(tab)
+        except np.linalg.LinAlgError as exc:
+            raised.append(exc)
+            raise
+    monkeypatch.setattr(lp._Tableau, "factor", factor)
+    runs = record_dual_phases(monkeypatch)
+    warm = solve(problem, LpSolution("optimal", None, None, 0,
+                                     np.array([3, 3, 0, 0, 0])))
+    assert len(raised) == 1 and runs == []
+    assert warm.x.tobytes() == cold.x.tobytes()
+    assert warm.statuses.tobytes() == cold.statuses.tobytes()
+    assert (warm.status, warm.objective_value, warm.iterations) == (
+        "optimal", -3.0, 3)
 
 
 def test_dual_infeasibility_reads_the_crash_basis_as_not_optimal():

@@ -1,7 +1,8 @@
 """Procedure 2 fits lcc and klcc on each fold as one chain of warm-started
 solves, from the most negative sigma up.  It must give what the per-value
 loop of cold fits in tests/helpers.py gives: the same statuses, the same
-optima, the same fold-AUC tables and the same report."""
+optima, the same fold-AUC tables and the same report.  A sigma past the L1
+gap of the fold's class means is refused unsolved on both sides."""
 
 import hashlib
 
@@ -11,9 +12,8 @@ import pytest
 from lcckit import kernel, lcc, lp
 from lcckit.data import gen_shape
 from lcckit.evaluation import (METHODS, PARAM_DEFAULTS, BenchmarkConfig,
-                               _grid_aucs, _normalized, run_benchmark,
-                               stratified_kfold)
-from tests.helpers import procedure_two_cold
+                               _grid_aucs, _kernel_spec, run_benchmark)
+from tests.helpers import procedure_two_cold, procedure_two_folds
 
 
 def recorder(monkeypatch):
@@ -51,9 +51,8 @@ def test_chain_matches_the_cold_loop(shape, seed, monkeypatch):
     recorded[None] = "chain"
     p = dict(PARAM_DEFAULTS)
     chain_tables = {name: [] for name in config.methods}
-    for held in stratified_kfold(data, config.folds, seed):
-        train, test = _normalized(
-            data.take(np.delete(np.arange(data.m), held)), data.take(held))
+    folds = procedure_two_folds(data, config.folds, seed)
+    for train, test in folds:
         for name in config.methods:
             chain_tables[name].append(_grid_aucs(METHODS[name], p, train,
                                                  test, seed))
@@ -62,7 +61,25 @@ def test_chain_matches_the_cold_loop(shape, seed, monkeypatch):
         assert by_value == tables[name], name
 
     cold, chain = recorded["cold"], recorded["chain"]
-    assert sorted(cold) == sorted(chain) and len(chain) == 150
+    # a (kind, fold, sigma) is solved exactly when |sigma| is within the L1
+    # gap of the fold's class means, of features for lcc and of Gram rows
+    # for klcc; every other one is refused before a solve
+    reachable = 0
+    for train, _ in folds:
+        spec = _kernel_spec(train, p)
+        for kind, coords, problem in (
+                ("lcc", train.features,
+                 lcc.assemble_lcc_lp(train, p["lam"], -1.0)),
+                ("klcc", kernel.gram(spec, train.features),
+                 kernel.assemble_klcc_lp(train, spec, p["lam"], -1.0))):
+            gap = np.abs(coords[train.labels == 1].mean(axis=0)
+                         - coords[train.labels == -1].mean(axis=0)).sum()
+            fold = hashlib.sha1(problem.A.tobytes()).hexdigest()
+            for sigma in METHODS[kind].grid:
+                reachable += -sigma <= gap
+                assert ((kind, fold, sigma) in chain) == (-sigma <= gap), (
+                    kind, sigma, gap)
+    assert sorted(cold) == sorted(chain) and len(chain) == reachable
     for key, (want, _) in cold.items():
         have, _ = chain[key]
         assert have.status == want.status, key[::2]
