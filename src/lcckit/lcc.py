@@ -195,8 +195,8 @@ def _centralization_path(coords_of, train: Dataset, lam: float, solver,
             raise TrainingError(
                 f"no projection can separate the class centers by |sigma|="
                 f"{-sigma:g}: classes have (near-)identical centers or "
-                f"|sigma| exceeds the center gap bound (L1 gap {gap:g} < "
-                f"{-sigma:g})")
+                f"|sigma| exceeds the center gap bound (L1 gap {gap:.17g} < "
+                f"{-sigma:.17g})")
         solution = solver(at(sigma), start)
         if solution.status != "optimal":
             raise TrainingError(

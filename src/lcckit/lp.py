@@ -37,9 +37,9 @@ the n beta columns, and 21 for klcc on the spiral shape at m=400.  On a
 program whose basis is mostly dense columns it costs more than the rank-1
 update of a full inverse would.
 
-Pivot selection is Dantzig's rule with a permanent switch to Bland's rule
-once the objective stalls, so the solver terminates on degenerate
-programs; past ITERATIONS_PER_SIZE * (rows + vars) pivots it raises
+The primal phases price by Dantzig's rule with a permanent switch to
+Bland's rule once the objective stalls, so they terminate on degenerate
+programs; past ITERATIONS_PER_SIZE * (rows + vars) pivots solve raises
 CyclingError.  Basic values are updated along each step and recomputed
 from the factored basis before the answer is read.  The answer is checked
 before it is returned: row residuals and bound violations must lie within
@@ -49,10 +49,13 @@ Every answer carries its column statuses and, as a certificate, its
 largest wrong-sign reduced cost.  solve(problem, start) re-optimizes from
 the basis of start, an answer to a program of the same shape and c, by a
 bounded dual simplex (Koberstein, "The dual simplex method, techniques
-for a fast and stable implementation", PhD thesis, Paderborn, 2005;
-Maros, "A generalized dual phase-2 simplex algorithm", EJOR 149(1),
-2003): that basis, the columns start's statuses mark basic, stays dual
-feasible when only b and the bounds move.  An attempt that cannot finish
+for a fast and stable implementation", PhD thesis, Paderborn, 2005): that
+basis, the columns start's statuses mark basic, stays dual feasible when
+only b and the bounds move.  It prices by dual steepest edge (Forrest &
+Goldfarb, "Steepest-edge simplex algorithms for linear programming",
+Math. Programming 57, 1992), and its ratio test flips the boxed columns
+it passes to their other bound (Maros, "A generalized dual phase-2
+simplex algorithm", EJOR 149(1), 2003).  An attempt that cannot finish
 falls back to the cold path, whose iterations then include the attempt's
 pivots.  Pricing, the dual ratio test, the warm start's check and the
 certificate read one sign test, _descent: how fast each nonbasic
@@ -73,6 +76,7 @@ from .data import _frozen
 PIVOT_TOLERANCE = 1e-9
 FEASIBILITY_TOLERANCE = 1e-7
 ITERATIONS_PER_SIZE = 1000   # the iteration cap per row and per variable
+WEIGHT_FLOOR = 1e-4          # the least dual steepest-edge weight
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -449,14 +453,21 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, cap: int,
 def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
                 stall_limit: int) -> tuple[bool, int]:
     """Dual simplex pivots from a dual feasible basis until every basic
-    value is within its bounds.  The basic variable furthest outside
-    leaves for the bound it violates; of the columns that move it there,
-    the smallest |d_j / alpha_rj| enters, ties to the largest |alpha_rj|.
-    Returns (finished, pivots); finished is False when no column can
-    enter, when c . x has not risen for stall_limit pivots, or after cap
-    pivots."""
-    movable = tab.upper - tab.lower > 0
+    value is within its bounds.  Dual steepest edge (Forrest & Goldfarb)
+    picks the leaving row by the largest excess^2 / w_i; the weights start
+    at 1, the leaving row's is set to |rho_r|^2, rho_r = B^-T e_r, and the
+    others are updated with tau = B^-1 rho_r, floored at WEIGHT_FLOOR.
+    The bound-flipping ratio test (Maros) passes the breakpoints
+    |d_j / alpha_rj| of the columns that move the leaving variable to its
+    bound in increasing order, flipping each boxed one to its other bound
+    while the slope, excess - sum |alpha_rj| (u_j - l_j) over the flipped,
+    stays >= 0; the first that would turn it negative enters, ties to the
+    largest |alpha_rj|.  Returns (finished, pivots); finished is False
+    when no breakpoint stops the slope, when c . x has not risen for
+    stall_limit pivots, or after cap pivots."""
+    span = tab.upper - tab.lower
     reduced = c - tab.dot(tab.btran(c[tab.basis]))
+    weights = np.ones(tab.r)
     best, stalled = float(c @ tab.x), 0
     for pivots in range(cap + 1):
         objective = float(c @ tab.x)
@@ -467,18 +478,34 @@ def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
         excess = np.maximum(below, basic - tab.upper[tab.basis])
         if excess.max(initial=0.0) <= PIVOT_TOLERANCE:
             return True, pivots
-        pos = int(excess.argmax())
+        pos = int((np.where(excess > PIVOT_TOLERANCE, excess, 0.0) ** 2
+                   / weights).argmax())
         rise = below[pos] > 0  # the leaving variable rises to its lower bound
-        row = tab.dot(tab.btran(np.eye(1, tab.r, pos)[0]))  # alpha_r
+        rho = tab.btran(np.eye(1, tab.r, pos)[0])
+        row = tab.dot(rho)  # alpha_r
         # the leaving variable moves by -alpha_rj per unit rise of x_j:
         # eligible are the moves that lower row . x if it must rise, else
         # the moves that raise it
-        toward = _descent(tab.status, row if rise else -row, movable)
+        toward = _descent(tab.status, row if rise else -row, span > 0)
         eligible = (toward > PIVOT_TOLERANCE).nonzero()[0]
-        if eligible.size == 0 or stalled > stall_limit or pivots == cap:
-            break
         ratios = np.abs(reduced[eligible] / row[eligible])
-        near = eligible[ratios <= ratios.min() + PIVOT_TOLERANCE]
+        order = ratios.argsort(kind="stable")
+        eligible, ratios = eligible[order], ratios[order]
+        slope = excess[pos] - np.cumsum(toward[eligible] * span[eligible])
+        passed = np.count_nonzero(slope >= 0.0)  # slope never rises
+        if passed == eligible.size or stalled > stall_limit or pivots == cap:
+            break
+        flips, eligible, ratios = (eligible[:passed], eligible[passed:],
+                                   ratios[passed:])
+        if passed:  # flip the passed columns, one ftran of their sum
+            up = (row[flips] < 0) == rise
+            tab.status[flips] = np.where(up, _AT_UPPER, _AT_LOWER)
+            bounds = np.where(up, tab.upper[flips], tab.lower[flips])
+            summed = sum(move * tab.column(j) for j, move
+                         in zip(flips, bounds - tab.x[flips]))
+            tab.x[flips] = bounds
+            basic = tab.x[tab.basis] = basic - tab.ftran(summed)
+        near = eligible[ratios <= ratios[0] + PIVOT_TOLERANCE]
         entering = int(near[np.abs(row[near]).argmax()])
         alpha = tab.ftran(tab.column(entering))
         target = (tab.lower if rise else tab.upper)[tab.basis[pos]]
@@ -486,6 +513,10 @@ def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
         theta = reduced[entering] / row[entering]
         reduced -= theta * row
         reduced[tab.basis[pos]], reduced[entering] = -theta, 0.0
+        ratio, w_r = alpha / alpha[pos], float(rho @ rho)
+        weights -= ratio * (2.0 * tab.ftran(rho[:-1]) - ratio * w_r)
+        weights[pos] = w_r / alpha[pos] ** 2
+        np.maximum(weights, WEIGHT_FLOOR, out=weights)
         tab.pivot(pos, entering, -alpha * step, step, not rise)
     return False, pivots
 

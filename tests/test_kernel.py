@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -172,7 +174,10 @@ def test_infeasible_sigma_beyond_gram_row_gap(monkeypatch):
     for past in (1.01, 1 + 1e-9):
         with pytest.raises(TrainingError, match="identical centers") as info:
             train_klcc(ds, spec, sigma=-past * gap)
-        assert f"(L1 gap {gap:g} < {past * gap:g})" in str(info.value)
+        printed = re.search(r"\(L1 gap (\S+) < (\S+)\)$", str(info.value))
+        # both sides print to full precision, so they differ
+        assert printed.groups() == (f"{gap:.17g}", f"{past * gap:.17g}")
+        assert float(printed[1]) == gap < float(printed[2]) == past * gap
     assert solves == []  # refused in closed form, before a solve
     for sigma in (-0.99 * gap, -(1 - 1e-9) * gap):  # still inside the bound
         assert train_klcc(ds, spec, sigma=sigma).sigma == sigma

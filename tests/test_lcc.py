@@ -125,10 +125,14 @@ def test_infeasible_identical_centers():
 def test_infeasible_sigma_too_large(monkeypatch):
     ds = toy_1d()  # center gap is 4
     solves = count_calls(monkeypatch, lcc, "solve")
-    for sigma in (-5.0, -4.0 * (1 + 1e-9)):
+    # both sides print to full precision, so a sigma just past the gap
+    # reads as past it
+    for sigma, printed in ((-5.0, "5"),
+                           (-4.0 * (1 + 1e-9), "4.0000000040000003")):
         with pytest.raises(TrainingError, match=re.escape(
-                f"(L1 gap 4 < {-sigma:g})")):
+                f"(L1 gap 4 < {printed})")):
             train_lcc(ds, sigma=sigma)
+        assert printed != "4" and float(printed) == -sigma
     assert solves == []  # refused in closed form, before a solve
     for sigma in (-3.9, -4.0 * (1 - 1e-9)):  # still inside the gap bound
         assert train_lcc(ds, sigma=sigma).sigma == sigma

@@ -408,12 +408,17 @@ def record_dual_phases(monkeypatch):
     return runs
 
 
-def test_warm_start_after_b_and_bounds_move(monkeypatch):
-    has_highs = True
+def scipy_imports():
+    """Whether scipy's HiGHS is here to serve as an oracle."""
     try:
         from scipy.optimize import linprog  # noqa: F401
     except ImportError:
-        has_highs = False
+        return False
+    return True
+
+
+def test_warm_start_after_b_and_bounds_move(monkeypatch):
+    has_highs = scipy_imports()
     runs = record_dual_phases(monkeypatch)
     rng = np.random.default_rng(11)
     warm_optimal = infeasible = finished_warm = 0
@@ -448,6 +453,84 @@ def test_warm_start_after_b_and_bounds_move(monkeypatch):
     # most warm attempts finish on the dual simplex; an infeasible moved
     # program never does, as no column can enter
     assert finished_warm >= 80 and infeasible > 0
+
+
+def narrow_box_lp(rng):
+    """A random program of up to 14 columns on up to 5 rows, each column
+    boxed in [l, l + 0.1] to [l, l + 1], so that a dual ratio test meets
+    many boxed breakpoints and passes some."""
+    d, r = int(rng.integers(2, 15)), int(rng.integers(1, 6))
+    lower = rng.uniform(-1.0, 0.0, d)
+    return (rng.normal(0.0, 2.0, d), rng.normal(0.0, 1.5, (r, d)),
+            tuple(rng.choice(["<=", ">="], r)), rng.normal(0.0, 2.0, r),
+            lower, lower + rng.uniform(0.1, 1.0, d))
+
+
+def test_warm_sweep_of_narrow_boxed_programs(monkeypatch):
+    has_highs = scipy_imports()
+    runs = record_dual_phases(monkeypatch)
+    # a finished attempt reads one column per pivot and per flip
+    columns = count_calls(monkeypatch, lp._Tableau, "column")
+    rng = np.random.default_rng(23)
+    programs = finished_warm = flips = 0
+    while programs < 200:
+        raw = narrow_box_lp(rng)
+        first = solve(make(*raw))
+        if first.status != "optimal":
+            continue
+        programs += 1
+        problem = make(*moved(rng, raw))
+        runs.clear()
+        columns.clear()
+        warm = solve(problem, first)
+        if runs and runs[0][0]:
+            finished_warm += 1
+            flips += len(columns) - runs[0][1]
+        cold = solve(problem)
+        assert warm.status == cold.status, format_problem(problem)
+        if has_highs:
+            assert highs(problem)[0] == cold.status
+        if cold.status != "optimal":
+            continue
+        assert warm.objective_value == pytest.approx(
+            cold.objective_value, rel=1e-9, abs=1e-9)
+        assert residuals_ok(problem, warm.x)
+        assert warm.dual_infeasibility <= 1e-9
+        if has_highs:
+            assert warm.objective_value == pytest.approx(
+                highs(problem)[1], rel=1e-9, abs=1e-9)
+    assert finished_warm >= 150 and flips >= 40
+
+
+def test_bound_flipping_passes_boxed_breakpoints(monkeypatch):
+    # minimize x1 + 2 x2 + 3 x3 + 4 x4 on [0, 1]^4 with x1 + ... + x4 >= b.
+    # From the optimum at b = 0 the row's slack leaves with excess b; the
+    # breakpoints are 1, 2, 3 and 4, and each passed column lowers the
+    # slope by 1
+    def program(b):
+        return make([1.0, 2.0, 3.0, 4.0], [[1.0] * 4], (">=",), [b],
+                    [0.0] * 4, [1.0] * 4)
+
+    low, up, basic = lp._AT_LOWER, lp._AT_UPPER, lp._BASIC
+    first = solve(program(0.0))
+    assert first.statuses.tolist() == [low] * 4 + [basic]
+    runs = record_dual_phases(monkeypatch)
+    warm, cold = solve(program(2.5), first), solve(program(2.5))
+    # x1 and x2 flip to their upper bounds and x3 enters, in one pivot
+    # (the plain ratio test takes three); the slack leaves at its bound 0
+    assert runs == [(True, 1)]
+    assert warm.statuses.tolist() == [up, up, basic, low, up]
+    assert warm.x.tolist() == [1.0, 1.0, 0.5, 0.0]
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective_value == pytest.approx(cold.objective_value,
+                                                 rel=1e-9, abs=0.0)
+    assert warm.dual_infeasibility <= 1e-9
+    # past b = 4 every breakpoint is passed with the slope still positive:
+    # the attempt stops unfinished, and the cold path reports infeasible
+    runs.clear()
+    warm, cold = solve(program(4.5), first), solve(program(4.5))
+    assert runs == [(False, 0)]
+    assert warm.status == cold.status == "infeasible"
 
 
 def centralization_pair(lam_first, lam_then, sigma_first, sigma_then):

@@ -103,3 +103,19 @@ def test_chain_matches_the_cold_loop(shape, seed, monkeypatch):
 
     report = run_benchmark(config)
     assert report.grid_records == tuple(records)
+
+
+def test_the_jain_like_klcc_chain_stays_within_its_pivot_budget(
+        monkeypatch):
+    # dual steepest-edge pricing and the bound-flipping ratio test take
+    # 1,394 pivots here; Dantzig pricing and the plain ratio test took
+    # 3,335
+    recorded = recorder(monkeypatch)
+    recorded[None] = "chain"
+    p = dict(PARAM_DEFAULTS)
+    data = gen_shape("jain_like", 150, 0.1, 0)
+    for train, test in procedure_two_folds(data, 5, 0):
+        _grid_aucs(METHODS["klcc"], p, train, test, 0)
+    solves = recorded["chain"].values()
+    assert len(solves) == 65
+    assert sum(solution.iterations for solution, _ in solves) <= 1600
