@@ -16,6 +16,11 @@ The file holds two parts:
   them, and the child's own peak RSS (RUSAGE_SELF; RUSAGE_CHILDREN would
   be a running maximum over every earlier case).  A case over budget
   is recorded with status "timeout" and the repeats it finished.
+  klcc_predict_1e5 decides 1e5 rows through `predict_saved` with an
+  RBF klcc model on 800 stored rows, made from arrays without training.
+  predict_cli_1e5 and predict_cli_1e6 time `lcckit predict` (through
+  `cli.main`) on a labelled CSV of that many rows, which the child first
+  writes in chunks, untimed, to a scratch directory the recorder removes.
 
 All cases share one data set per size: `gen_gaussian_pair` with means 0
 and 0.5/sqrt(10) per coordinate, identity covariances, seed 0, z-scored;
@@ -36,12 +41,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import types
 from pathlib import Path
@@ -63,23 +71,33 @@ CASES = {
     "svm_m1600": ("svm", 1600),
     "fqcc_m1600": ("fqcc", 1600),
     "klcc_path_m400": ("klcc_path", 400),
+    "klcc_predict_1e5": ("klcc_predict", 100_000),
+    "predict_cli_1e5": ("predict_cli", 100_000),
+    "predict_cli_1e6": ("predict_cli", 1_000_000),
 }
+SHIFT = np.full(N_FEATURES, 0.5 / np.sqrt(N_FEATURES))   # class +1's mean
+KLCC_STORED_ROWS = 800
+CSV_CHUNK_ROWS = 10_000
 
 
 def scale_data(rows: int):
     from lcckit.data import (Dataset, fit_normalizer, gen_gaussian_pair,
                              normalize_features)
-    shift = np.full(N_FEATURES, 0.5 / np.sqrt(N_FEATURES))
     eye = np.eye(N_FEATURES)
-    raw = gen_gaussian_pair(np.zeros(N_FEATURES), eye, shift, eye,
+    raw = gen_gaussian_pair(np.zeros(N_FEATURES), eye, SHIFT, eye,
                             rows // 2, seed=0)
     return Dataset(normalize_features(fit_normalizer(raw), raw.features),
                    raw.labels)
 
 
-def case_routine(routine: str, train):
+def case_routine(routine: str, rows: int, scratch: Path):
     """A no-argument callable that runs the case once."""
     from lcckit import baselines, discriminators, lcc, lp
+    if routine == "klcc_predict":
+        return klcc_predict(rows)
+    if routine == "predict_cli":
+        return predict_cli(rows, scratch)
+    train = scale_data(rows)
     if routine == "lcc":
         return lambda: lp.solve(lcc.assemble_lcc_lp(train, LAM, SIGMA))
     if routine == "one_sv":
@@ -97,6 +115,50 @@ def case_routine(routine: str, train):
             "rbf", kernel.median_pairwise_distance(train.features))
         return lambda: klcc_chain(train, spec)
     return lambda: lcc.train_fqcc(train, LAM, SIGMA)
+
+
+def klcc_predict(rows: int):
+    """An RBF klcc model on KLCC_STORED_ROWS rows of the scale data, with
+    seeded alphas and no training; the callable decides rows rows."""
+    from lcckit import kernel
+    from lcckit.model_io import SavedClassifier, predict_saved
+    train = scale_data(KLCC_STORED_ROWS)
+    rng = np.random.default_rng(0)
+    model = kernel.KernelLccModel(
+        "rbf", kernel.median_pairwise_distance(train.features),
+        rng.uniform(-1.0, 1.0, train.m), train.features, -0.1, 0.1, 0.0,
+        LAM, SIGMA, np.zeros(train.m))
+    queries = np.random.default_rng(1).standard_normal((rows, N_FEATURES))
+    return lambda: predict_saved(SavedClassifier(model), queries)
+
+
+def predict_cli(rows: int, scratch: Path):
+    """Save an lcc model (the center-difference projection of the m=1600
+    data) and write a labelled CSV of rows rows from the same two
+    classes, CSV_CHUNK_ROWS at a time; the callable predicts the CSV."""
+    from lcckit import cli, lcc
+    from lcckit.model_io import SavedClassifier, save_classifier
+    train = scale_data(1600)
+    neg, pos = lcc.class_centers(train)
+    save_classifier(str(scratch / "model.txt"), SavedClassifier(
+        lcc.model_from_beta(train, pos - neg, LAM, SIGMA)))
+    rng = np.random.default_rng(1)
+    with open(scratch / "rows.csv", "w", encoding="utf-8") as fh:
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            labels = np.where(rng.random(min(CSV_CHUNK_ROWS, rows - start))
+                              < 0.5, -1, 1)
+            feats = (rng.standard_normal((labels.size, N_FEATURES))
+                     + np.outer(labels == 1, SHIFT))
+            np.savetxt(fh, np.column_stack([feats, labels]), delimiter=",",
+                       fmt=["%.17g"] * N_FEATURES + ["%d"])
+    argv = ["predict", "--model", str(scratch / "model.txt"), "--data",
+            str(scratch / "rows.csv"), "--out", str(scratch)]
+
+    def once():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError("lcckit predict failed")
+    return once
 
 
 def klcc_chain(train, spec):
@@ -118,11 +180,11 @@ def klcc_chain(train, spec):
         iterations=sum(s.iterations for s in solutions))
 
 
-def run_case(name: str) -> None:
+def run_case(name: str, scratch: Path) -> None:
     """Child process: one JSON line per finished repeat."""
     sys.path.insert(0, str(ROOT / "src"))
     routine, rows = CASES[name]
-    once = case_routine(routine, scale_data(rows))
+    once = case_routine(routine, rows, scratch)
     for _ in range(REPEATS):
         start = time.perf_counter()
         # only an LP solution reports its iterations
@@ -136,10 +198,12 @@ def run_case(name: str) -> None:
 def measure_case(name: str, budget: float) -> dict:
     routine, rows = CASES[name]
     record = {"routine": routine, "rows": rows, "n": N_FEATURES}
-    argv = [sys.executable, __file__, "--case", name]
     try:
-        done = subprocess.run(argv, capture_output=True, text=True,
-                              timeout=budget)
+        with tempfile.TemporaryDirectory() as scratch:
+            argv = [sys.executable, __file__, "--case", name, "--scratch",
+                    scratch]
+            done = subprocess.run(argv, capture_output=True, text=True,
+                                  timeout=budget)
         out, status = done.stdout, "ok" if done.returncode == 0 else "error"
         if status == "error":
             record["stderr_tail"] = done.stderr[-2000:]
@@ -192,9 +256,10 @@ def main(argv=None) -> int:
     parser.add_argument("--budget", type=float, default=120.0,
                         help="seconds each scale case may take in all")
     parser.add_argument("--case", choices=list(CASES), help=argparse.SUPPRESS)
+    parser.add_argument("--scratch", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.case:
-        run_case(args.case)
+        run_case(args.case, args.scratch)
         return 0
     if not args.out:
         parser.error("--out is required")

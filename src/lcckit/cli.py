@@ -1,8 +1,10 @@
 """Batch command line: train, predict, benchmark, demo.
 
-Exit codes: 0 on success, 1 for usage problems (bad flags or flag values,
-unreadable or mismatched files), 2 for numeric failures during training
-(infeasible program, cycling, singular covariance).
+predict reads, decides and writes PREDICT_BLOCK rows at a time, so its
+memory stays flat in the number of rows, and writes nothing unless every
+row succeeds.  Exit codes: 0 on success, 1 for usage problems (bad flags
+or flag values, unreadable or mismatched files), 2 for numeric failures
+during training (infeasible program, cycling, singular covariance).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .data import (DataError, Dataset, SHAPE_NAMES, apply_normalizer,
                    as_labels, demo_gaussian_pair, drop_zero_variance,
-                   fit_normalizer, gen_shape, load_csv, read_matrix)
+                   fit_normalizer, gen_shape, load_csv, read_blocks)
 from .discriminators import DiscriminatorError
 from .evaluation import (BenchmarkConfig, EvalError, METHOD_NAMES, METHODS,
                          check_methods, fit, roc_auc, report_to_csv,
@@ -28,8 +30,8 @@ from .baselines import hinge_objective, train_lda, train_linear_svm  # noqa
 from .discriminators import fit_discriminator  # noqa: F401
 from .kernel import median_pairwise_distance, train_klcc  # noqa: F401
 from .lcc import train_fqcc  # noqa: F401
-from .model_io import (ModelIoError, SavedClassifier, load_classifier,
-                       predict_saved, save_classifier)
+from .model_io import (PREDICT_BLOCK, ModelIoError, SavedClassifier,
+                       load_classifier, predict_saved, save_classifier)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,7 +42,6 @@ EXIT_NUMERIC = 2
 GEN_OPTIONS = {"gaussian": {"m_per_class": 200},
                **{shape: {"m": 300, "noise": 0.03} for shape in SHAPE_NAMES}}
 DEMO_BINS = 40
-PREDICT_BLOCK = 4096    # rows formatted per batch of Python numbers
 
 DISCRIMINATOR_FLAGS = {"dist": "dist", "1nn": "one_nn", "1sv": "one_sv"}
 
@@ -179,34 +180,38 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- predict
 
 def cmd_predict(args) -> int:
+    import shutil
+    import tempfile
     saved = load_classifier(args.model)
-    matrix = read_matrix(args.data)
-    out_lines = ["label,score"]
-    true_labels = None
-    if matrix.size:
-        feats = matrix
-        if matrix.shape[1] - 1 == saved.original_n:
-            true_labels = as_labels(matrix[:, -1])
-            if true_labels is not None:
-                feats = matrix[:, :-1]
-        labels, scores = predict_saved(saved, feats)
-        # Python numbers format faster than numpy scalars; a block at a
-        # time keeps few of them alive, so the peak RSS does not grow
-        for start in range(0, labels.size, PREDICT_BLOCK):
-            block = slice(start, start + PREDICT_BLOCK)
-            out_lines += [f"{l},{s!r}" for l, s in
-                          zip(labels[block].tolist(), scores[block].tolist())]
-    text = "\n".join(out_lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-        report = sys.stderr
-    else:
-        path = _write(args.out, "predictions.csv", text)
-        print(f"predictions written to {path}")
-        report = sys.stdout
-    if true_labels is not None:
-        accuracy = float(np.mean(labels == true_labels))
-        print(f"accuracy {accuracy:.4f}", file=report)
+    seen, truth, correct, rows = np.zeros(0), None, 0, 0
+    # the lines wait in a temporary file until every block has succeeded
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as tmp:
+        tmp.write("label,score\n")
+        for block in read_blocks(args.data, PREDICT_BLOCK):
+            feats = block
+            # an extra last column of -1/+1 or 0/1 over every row so far
+            if block.shape[1] - 1 == saved.original_n:
+                seen = np.unique(np.append(seen, block[:, -1]))
+                if as_labels(seen) is not None:
+                    feats, truth = block[:, :-1], as_labels(block[:, -1])
+            labels, scores = predict_saved(saved, feats)
+            # Python numbers format faster than numpy scalars
+            tmp.write("".join(f"{l},{s!r}\n" for l, s in
+                              zip(labels.tolist(), scores.tolist())))
+            correct += 0 if truth is None else int(np.sum(labels == truth))
+            rows += labels.size
+        tmp.seek(0)
+        if args.out is None:
+            shutil.copyfileobj(tmp, sys.stdout)
+            report = sys.stderr
+        else:
+            path = _out_path(args.out, "predictions.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                shutil.copyfileobj(tmp, fh)
+            print(f"predictions written to {path}")
+            report = sys.stdout
+    if truth is not None:
+        print(f"accuracy {correct / rows:.4f}", file=report)
     return EXIT_OK
 
 

@@ -1,11 +1,11 @@
 """Dataset handling: CSV ingestion, z-score normalization, column pruning,
 and deterministic synthetic generators.
 
-read_matrix is the one numeric-CSV reader behind `train`, `benchmark
---data` and `predict`; load_csv takes its last column as the labels,
-which are always -1 / +1 internally (as_labels remaps 0 / 1).  All
-returned arrays are read-only so that datasets, once built, cannot drift
-under the feet of a trained model.
+read_blocks is the one numeric-CSV reader: `predict` takes its blocks
+one at a time, `train` and `benchmark --data` their concatenation through
+load_csv, whose last column holds the labels, always -1 / +1 internally
+(as_labels remaps 0 / 1).  Datasets are read-only so that, once built,
+they cannot drift under the feet of a trained model.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ import numpy as np
 # columns and when refusing to fit a normalizer.  Keeping the two thresholds
 # identical means every column the pruner keeps is normalizable.
 VARIANCE_TOLERANCE = 1e-12
+
+# rows per block read from a CSV or decided by model_io.predict_saved;
+# `lcckit predict` holds one block at a time
+PREDICT_BLOCK = 4096
 
 # Parameters of the bundled 2-D demonstration pair: class -1 is a spread
 # cloud near (4, 5), class +1 sits near (-7, -1).  The raw matrices are not
@@ -109,20 +113,24 @@ def _numbers(lines, usecols=None) -> np.ndarray | None:
 
 
 def _cell_lines(fh):
-    """(line number, line) for each line of the file that has a cell; a
-    line with an odd number of quotes raises DataError, since a quoted
-    cell never spans lines."""
+    """(line number, line) for each line of the file that has a cell, up
+    to a line with an odd number of quotes, which ends them as (its
+    number, None): a quoted cell never spans lines."""
     for line_no, line in enumerate(fh, start=1):
         if '"' in line and line.count('"') % 2:
-            raise DataError(f"line {line_no}: unbalanced quote")
+            yield line_no, None
+            return
         if line.strip(_BLANK):
             yield line_no, line
 
 
-def _check_line(line_no: int, line: str, width: int) -> None:
-    """Raise DataError if the line breaks the rows: a cell that is not a
-    number, a non-finite value, or a width unlike the first row's."""
+def _check_line(line_no: int, line: str | None, width: int) -> None:
+    """Raise DataError if the line breaks the rows: an unbalanced quote
+    (line None), a cell that is not a number, a non-finite value, or a
+    width unlike the first row's."""
     at = f"line {line_no}"
+    if line is None:
+        raise DataError(f"{at}: unbalanced quote")
     row = _numbers([line])
     if row is None:
         # the first rejected column comes before any index past the end
@@ -136,37 +144,46 @@ def _check_line(line_no: int, line: str, width: int) -> None:
         raise DataError(f"{at}: expected {width} cells, got {row.shape[1]}")
 
 
-def read_matrix(path: str) -> np.ndarray:
-    """The file's rows of comma-separated numbers as a float matrix.
-
-    Blank lines (only separators, quotes and whitespace) are skipped, and
-    so is every line before the first row of numbers, as a header.  Cells
-    may be quoted, the quote closing on its line, and padded.  Without a
-    row of numbers the matrix is (0, 0).  A bad row raises DataError
-    naming its line, counting every line from 1, and for a bad cell its
-    column.
-    """
+def read_blocks(path: str, rows: int):
+    """The file's rows of comma-separated numbers as float matrices of up
+    to rows rows each.  Blank lines (only separators, quotes and
+    whitespace) are skipped, and so is every line before the first row of
+    numbers, as a header.  Cells may be quoted, the quote closing on its
+    line, and padded.  A block with a bad row raises DataError naming its
+    first bad line, counting every line from 1, and for a bad cell its
+    column."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with fh:
         lines = _cell_lines(fh)
-        for first, first_line in lines:
-            if _numbers([first_line]) is not None:
+        for line_no, line in lines:
+            first = None if line is None else _numbers([line])
+            if line is None or first is not None:
                 break
         else:
-            return np.zeros((0, 0))
-        matrix = _numbers(itertools.chain([first_line],
-                                          (line for _, line in lines)))
-        if matrix is not None and np.isfinite(matrix).all():
-            return matrix
-        width = _numbers([first_line]).shape[1]
-        fh.seek(0)
-        for line_no, line in _cell_lines(fh):
-            if line_no >= first:
-                _check_line(line_no, line, width)
-    raise DataError("rows are not comma-separated numbers")
+            return
+        width = 0 if first is None else first.shape[1]
+        block = [(line_no, line), *itertools.islice(lines, rows - 1)]
+        while block:
+            # a quote error ends the lines; the lines before it come first
+            matrix = (None if block[-1][1] is None
+                      else _numbers([line for _, line in block]))
+            if matrix is None or matrix.shape[1] != width or \
+                    not np.isfinite(matrix).all():
+                for line_no, line in block:
+                    _check_line(line_no, line, width)
+                raise DataError("rows are not comma-separated numbers")
+            yield matrix
+            block = list(itertools.islice(lines, rows))
+
+
+def read_matrix(path: str) -> np.ndarray:
+    """read_blocks' rows as one float matrix, (0, 0) without a row of
+    numbers."""
+    blocks = list(read_blocks(path, PREDICT_BLOCK))
+    return np.concatenate(blocks) if blocks else np.zeros((0, 0))
 
 
 def as_labels(column) -> np.ndarray | None:

@@ -14,51 +14,18 @@ from itertools import combinations
 
 import numpy as np
 
-from .baselines import (
-    DEFAULT_LDA_REG,
-    DEFAULT_SVM_LAMBDA,
-    LdaModel,
-    SvmModel,
-    _tie_groups,
-    hinge_objective,
-    train_lda,
-    train_linear_svm,
-)
-from .data import (
-    Dataset,
-    _frozen,
-    apply_normalizer,
-    drop_zero_variance,
-    fit_normalizer,
-    require_both_classes,
-)
-from .discriminators import (
-    KINDS,
-    Discriminator,
-    discriminate,
-    discriminator_score,
-    fit_discriminator,
-)
-from .kernel import (
-    KernelLccModel,
-    KernelSpec,
-    klcc_path,
-    median_pairwise_distance,
-    train_klcc,
-)
-from .lcc import (
-    DEFAULT_LAMBDA,
-    DEFAULT_SIGMA,
-    Centralizer,
-    Classifier,
-    FqccModel,
-    LccModel,
-    ParameterError,
-    fqcc_epsilons,
-    lcc_path,
-    train_fqcc,
-    train_lcc,
-)
+from .baselines import (DEFAULT_LDA_REG, DEFAULT_SVM_LAMBDA, LdaModel,
+                        SvmModel, _tie_groups, hinge_objective, train_lda,
+                        train_linear_svm)
+from .data import (Dataset, _frozen, apply_normalizer, drop_zero_variance,
+                   fit_normalizer, require_both_classes)
+from .discriminators import (KINDS, Discriminator, discriminate,
+                             discriminator_score, fit_discriminator)
+from .kernel import (KernelLccModel, KernelSpec, klcc_path,
+                     median_pairwise_distance, train_klcc)
+from .lcc import (DEFAULT_LAMBDA, DEFAULT_SIGMA, Centralizer, Classifier,
+                  FqccModel, LccModel, ParameterError, fqcc_epsilons,
+                  lcc_path, train_fqcc, train_lcc)
 
 EXACT_RANK_SUM_LIMIT = 12
 TRAIN_FRACTION = 0.7   # procedure 1's split: the paper's 70/30

@@ -11,6 +11,7 @@ lists.  Encodings: "float" one value, "floats" a vector, "int" one
 integer, "ints" an integer vector, "word" one bare token, "matrix" a
 "key rows cols" line followed by one line per row.  A trailing "?"
 marks a record that may be absent; its attribute is then None.
+predict_saved decides PREDICT_BLOCK rows at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Normalizer, normalize_features
+from .data import PREDICT_BLOCK, Normalizer, normalize_features
 from .discriminators import FIELDS as RULE_FIELDS, Discriminator
 from .evaluation import METHODS, Discriminated
 # perfbench/spans.py wraps these names here; predict goes through the model
@@ -216,7 +217,9 @@ def load_classifier(path: str) -> SavedClassifier:
 
 def predict_saved(saved: SavedClassifier,
                   raw_features) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and continuous scores for raw (unnormalized) input rows."""
+    """Labels and continuous scores for raw (unnormalized) input rows,
+    normalized and decided PREDICT_BLOCK rows at a time, so that a klcc
+    model's kernel matrix has at most PREDICT_BLOCK rows."""
     feats = np.asarray(raw_features, dtype=np.float64)
     if feats.ndim != 2:
         raise ModelIoError("prediction input must be a 2-D array")
@@ -224,8 +227,13 @@ def predict_saved(saved: SavedClassifier,
         raise ModelIoError(
             f"input has {feats.shape[1]} columns, model expects "
             f"{saved.original_n}")
-    if saved.kept_columns is not None:
-        feats = feats[:, saved.kept_columns]
-    if saved.normalizer is not None:
-        feats = normalize_features(saved.normalizer, feats)
-    return saved.model.decide(feats)
+    parts = []   # no rows still make one call, for the outputs' dtypes
+    for start in range(0, feats.shape[0] or 1, PREDICT_BLOCK):
+        block = feats[start:start + PREDICT_BLOCK]
+        if saved.kept_columns is not None:
+            block = block[:, saved.kept_columns]
+        if saved.normalizer is not None:
+            block = normalize_features(saved.normalizer, block)
+        parts.append(saved.model.decide(block))
+    labels, scores = zip(*parts)
+    return np.concatenate(labels), np.concatenate(scores)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from lcckit import cli
 from lcckit.cli import main, parse_gen_spec
-from lcckit.data import _BLANK, demo_gaussian_pair, read_matrix
+from lcckit.data import _BLANK, as_labels, demo_gaussian_pair, read_matrix
+from lcckit.model_io import PREDICT_BLOCK, load_classifier, predict_saved
 
 
 def write_labeled_csv(path, data, header=True, label_map=None):
@@ -240,15 +242,20 @@ def test_predict_writes_shortest_round_trip_scores(tmp_path, capsys,
                                                    monkeypatch):
     """predictions.csv holds each label and the repr of each score:
     signed zeros, subnormals, huge and tied scores are written exactly,
-    in row order across the blocks the lines are built in."""
+    in row order across the blocks predict reads and decides."""
     from lcckit import cli
     from lcckit.baselines import SvmModel
     from lcckit.model_io import SavedClassifier, save_classifier
     scores = np.tile([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
                       0.1, 0.1, -2.5, -2.5], 500)
     labels = np.where(scores < 0, -1, 1)
-    monkeypatch.setattr(cli, "predict_saved", lambda saved, feats: (
-        labels[:feats.shape[0]], scores[:feats.shape[0]]))
+    served = [0]   # rows handed out so far: predict calls once per block
+
+    def stub(saved, feats):
+        start, served[0] = served[0], served[0] + feats.shape[0]
+        return labels[start:served[0]], scores[start:served[0]]
+
+    monkeypatch.setattr(cli, "predict_saved", stub)
     model_path = tmp_path / "model.txt"
     save_classifier(str(model_path), SavedClassifier(
         SvmModel(np.array([1.0]), 0.0, 1.0)))
@@ -554,6 +561,8 @@ READ_ERRORS = {
     "1,2\nx\n3\n": "line 2, column 1: non-numeric cell",
     '1,2\n1,"2\n': "line 2: unbalanced quote",
     '1,2\n"3\n4",5\n': "line 2: unbalanced quote",
+    # the first bad line wins, whatever the kind of fault after it
+    '1,2\nx,3\n4,"5\n': "line 2, column 1: non-numeric cell",
 }
 
 
@@ -575,6 +584,124 @@ def test_predict_reports_bad_csv_line(tmp_path, capsys, saved_model, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"lcckit predict: error: {READ_ERRORS[text]}\n"
+
+
+LONG_ROWS = 3 * PREDICT_BLOCK + 200
+
+
+def long_csv_lines(label_of=None):
+    """The lines of a file of more than three blocks of 2-feature rows
+    (plus a label label_of(row), if given), with a header and a blank
+    line after every 1,000th row; and the index in them of each row."""
+    rng = np.random.default_rng(21)
+    lines = ["x0,x1" + (",label" if label_of else "")]
+    row_at = []
+    for i, row in enumerate(rng.normal(0.0, 3.0, (LONG_ROWS, 2))):
+        row_at.append(len(lines))
+        lines.append(",".join([repr(float(v)) for v in row]
+                              + ([str(label_of(i))] if label_of else [])))
+        if i % 1000 == 999:
+            lines.append(" , ")
+    return lines, row_at
+
+
+# lines put in place of rows of the third block -> the error, by the
+# number of the first of them
+LATER_FAULTS = {
+    ("1.5,abc",): "line {}, column 2: non-numeric cell",
+    ("inf,1",): "line {}, column 1: non-finite value",
+    ("2.5",): "line {}: expected 2 cells, got 1",
+    ('1,"2',): "line {}: unbalanced quote",
+    ("x,3", '4,"5'): "line {}, column 1: non-numeric cell",
+}
+
+
+def predict_to(tmp_path, model, lines, out):
+    """Exit code and captured output of predicting the lines' file, to
+    stdout (out None), to a fresh directory or over an existing file."""
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["predict", "--model", str(model), "--data", str(path)]
+    if out is not None:
+        (tmp_path / "out").mkdir()
+        if out == "existing":
+            (tmp_path / "out" / "predictions.csv").write_text("old\n")
+        argv += ["--out", str(tmp_path / "out")]
+    return main(argv)
+
+
+@pytest.mark.parametrize("out", [None, "fresh", "existing"])
+@pytest.mark.parametrize("bad", list(LATER_FAULTS), ids=[
+    "bad cell", "non-finite", "short row", "quote", "cell before quote"])
+def test_predict_fault_in_a_later_block_writes_nothing(
+        tmp_path, capsys, saved_model, bad, out):
+    lines, row_at = long_csv_lines()
+    at = row_at[2 * PREDICT_BLOCK + 100]
+    lines[at:at + len(bad)] = bad
+    capsys.readouterr()
+    assert predict_to(tmp_path, saved_model, lines, out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("lcckit predict: error: "
+                            + LATER_FAULTS[bad].format(at + 1) + "\n")
+    written = tmp_path / "out" / "predictions.csv"
+    if out == "existing":
+        assert written.read_text() == "old\n"
+    else:
+        assert not written.exists()
+
+
+@pytest.mark.parametrize("label_of", [
+    lambda i: 2 if i == 2 * PREDICT_BLOCK + 7 else i % 2 * 2 - 1,
+    lambda i: 0 if i >= 2 * PREDICT_BLOCK else i % 2 * 2 - 1,
+], ids=["not a label", "-1 then 0"])
+def test_predict_labels_are_checked_over_every_block(
+        tmp_path, capsys, saved_model, label_of):
+    """A last column that stops being -1/+1 or 0/1 only in a later block
+    is a fourth column, as it would be in the first."""
+    lines, _ = long_csv_lines(label_of)
+    capsys.readouterr()
+    assert predict_to(tmp_path, saved_model, lines, "fresh") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("lcckit predict: error: input has 3 columns, "
+                            "model expects 2\n")
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+def test_predict_accuracy_of_labels_split_over_blocks(tmp_path, capsys,
+                                                      saved_model):
+    """0/1 labels, {0, 1} in the first block and only 1 after it: the
+    accuracy of a whole-file read."""
+    lines, _ = long_csv_lines(lambda i: i % 2 if i < PREDICT_BLOCK else 1)
+    assert predict_to(tmp_path, saved_model, lines, "fresh") == 0
+    matrix = read_matrix(str(tmp_path / "in.csv"))
+    labels, _ = predict_saved(load_classifier(str(saved_model)),
+                              matrix[:, :-1])
+    accuracy = np.mean(labels == as_labels(matrix[:, -1]))
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"accuracy {accuracy:.4f}"
+    assert len((tmp_path / "out" / "predictions.csv").read_text()
+               .splitlines()) == LONG_ROWS + 1
+
+
+def test_predict_memory_is_flat_in_rows(tmp_path, saved_model):
+    """Predicting 1e5 rows peaks within 2 MB of predicting 2e4: a block
+    at a time is read, decided and written."""
+    rng = np.random.default_rng(5)
+    peaks = []
+    for rows in (20_000, 100_000):
+        path = tmp_path / f"{rows}.csv"
+        path.write_text("".join(f"{a!r},{b!r}\n" for a, b in
+                                rng.normal(0.0, 3.0, (rows, 2)).tolist()))
+        tracemalloc.start()
+        try:
+            assert main(["predict", "--model", str(saved_model), "--data",
+                         str(path), "--out", str(tmp_path / str(rows))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2e6
 
 
 # the same labelled rows written each way the CSV reader accepts; training

@@ -1,17 +1,25 @@
 """Saved-model round trips: a loaded model predicts bit-for-bit identically."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lcckit.data import (apply_normalizer, demo_gaussian_pair,
-                         drop_zero_variance, fit_normalizer, gen_shape)
+                         drop_zero_variance, fit_normalizer, gen_shape,
+                         normalize_features)
 from lcckit.discriminators import fit_discriminator
-from lcckit.kernel import KernelSpec, median_pairwise_distance, train_klcc
+from lcckit.kernel import (KernelLccModel, KernelSpec,
+                           median_pairwise_distance, train_klcc)
 from lcckit.lcc import LccModel, train_fqcc, train_lcc
 from lcckit.baselines import train_lda, train_linear_svm
 from lcckit.evaluation import Discriminated
-from lcckit.model_io import (ModelIoError, SavedClassifier, load_classifier,
-                             predict_saved, save_classifier)
+from lcckit.model_io import (PREDICT_BLOCK, ModelIoError, SavedClassifier,
+                             load_classifier, predict_saved, save_classifier)
 
 
 def bits(a):
@@ -138,6 +146,75 @@ def test_predict_saved_empty_input():
     saved = SavedClassifier(train_lcc(ready), norm, kept, n)
     labels, scores = predict_saved(saved, np.zeros((0, 2)))
     assert labels.shape == (0,) and scores.shape == (0,)
+
+
+TRAINERS = {
+    "lcc": lambda ready: train_lcc(ready),
+    "fqcc": lambda ready: train_fqcc(ready, seed=3),
+    "klcc": lambda ready: train_klcc(ready, KernelSpec("rbf", 1.0)),
+    "lda": lambda ready: train_lda(ready),
+    "svm": lambda ready: train_linear_svm(ready),
+    "lcc+1nn": lambda ready: Discriminated(model := train_lcc(ready),
+                                          fit_discriminator(
+                                              "one_nn", model.transform(
+                                                  ready.features),
+                                              ready.labels, model)),
+}
+
+
+def blocked_mismatches() -> list:
+    """The kinds whose predict_saved over three blocks and a part gives
+    some row other label or score bits than one decide on every row."""
+    data = demo_gaussian_pair(m_per_class=30, seed=29)
+    ready, norm, kept, n = prepared(data)
+    rows = np.random.default_rng(1).normal(
+        0.0, 4.0, (3 * PREDICT_BLOCK + 77, 2))
+    mismatched = []
+    for kind, trainer in TRAINERS.items():
+        saved = SavedClassifier(trainer(ready), norm, kept, n)
+        labels, scores = predict_saved(saved, rows)
+        whole = saved.model.decide(normalize_features(norm, rows[:, kept]))
+        if not (np.array_equal(labels, whole[0])
+                and bits(scores) == bits(whole[1])):
+            mismatched.append(kind)
+    return mismatched
+
+
+def test_predict_saved_in_blocks_as_one_decide():
+    """Run with BLAS on one thread, as perfbench runs it.  A threaded
+    BLAS splits one call's rows among its threads, and the order of sums
+    can change next to a split: with OpenBLAS on two threads, klcc's one
+    decide gives rows 6180, 6181, 12363 and 12364 of these 12365 other
+    last bits than on one thread, while the blocks give the one-thread
+    bits on every row."""
+    code = ("from tests.test_model_io import blocked_mismatches; "
+            "print(blocked_mismatches())")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                        str(root)]),
+           **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}}
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_klcc_predict_memory_is_bounded_in_rows():
+    """An RBF model on 800 stored rows decides 1e5 rows: one kernel
+    matrix over all of them would take 640 MB."""
+    rng = np.random.default_rng(2)
+    model = KernelLccModel("rbf", 1.0, rng.uniform(-1.0, 1.0, 800),
+                           rng.normal(0.0, 1.0, (800, 2)), -0.1, 0.1, 0.0,
+                           2.0, -0.01, np.zeros(800))
+    rows = rng.normal(0.0, 1.0, (100_000, 2))
+    tracemalloc.start()
+    try:
+        labels, scores = predict_saved(SavedClassifier(model), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
+    assert labels.shape == scores.shape == (100_000,)
 
 
 def test_predict_saved_dimension_mismatch_names_expected_n():
