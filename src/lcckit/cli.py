@@ -23,6 +23,7 @@ from .discriminators import DiscriminatorError
 from .evaluation import (BenchmarkConfig, EvalError, METHOD_NAMES, METHODS,
                          check_methods, fit, roc_auc, report_to_csv,
                          run_benchmark, summary_table)
+from .kernel import KERNEL_KINDS
 from .lcc import ParameterError, TrainingError, class_centers, train_lcc
 from .lp import CyclingError, LpFormatError
 # perfbench/spans.py wraps these names here; training goes through METHODS
@@ -306,7 +307,7 @@ def _add_hyper_flags(sub):
                      " for svm")
     sub.add_argument("--sigma", type=float, default=None,
                      help="slack floor / center-gap bound (negative)")
-    sub.add_argument("--kernel", choices=("linear", "rbf"), default=None)
+    sub.add_argument("--kernel", choices=KERNEL_KINDS, default=None)
     sub.add_argument("--rbf-width", default="median",
                      help="RBF width, a number or 'median' (default)")
     sub.add_argument("--discriminator", choices=sorted(DISCRIMINATOR_FLAGS),

@@ -20,8 +20,9 @@ import numpy as np
 # identical means every column the pruner keeps is normalizable.
 VARIANCE_TOLERANCE = 1e-12
 
-# rows per block read from a CSV or decided by model_io.predict_saved;
-# `lcckit predict` holds one block at a time
+# rows per block read from a CSV or decided by model_io.predict_saved, and
+# the most rows of a klcc model's kernel matrix; `lcckit predict` holds one
+# block at a time
 PREDICT_BLOCK = 4096
 
 # Parameters of the bundled 2-D demonstration pair: class -1 is a spread
@@ -31,8 +32,6 @@ DEMO_MEAN_NEG = (4.0, 5.0)
 DEMO_COV_NEG = ((0.94, 0.34), (-0.34, 3.76))
 DEMO_MEAN_POS = (-7.0, -1.0)
 DEMO_COV_POS = ((-2.57, -0.77), (0.767, -0.64))
-
-SHAPE_NAMES = ("circles", "spiral", "jain_like", "flame_like")
 
 
 class DataError(ValueError):
@@ -389,6 +388,7 @@ _SHAPE_BUILDERS = {
     "jain_like": _gen_jain_like,
     "flame_like": _gen_flame_like,
 }
+SHAPE_NAMES = tuple(_SHAPE_BUILDERS)
 
 
 def gen_shape(shape: str, m: int, noise: float, seed: int) -> Dataset:

@@ -183,9 +183,11 @@ def rank_sum_test(a, b) -> float:
 
 # ----------------------------------------------------------- the methods
 #
-# Every per-kind choice lives in METHODS.  Its entries call the trainers
-# through this module's names at call time, so a wrapper put on one of
-# those names here (as perfbench/spans.py does) sees every fit.
+# Every per-kind choice lives in METHODS.  fits(train, p, seed) gives
+# fit(value), trained at params[param_key] = value.  lcc's and klcc's walk
+# one sigma chain; the others call their trainer by this module's name at
+# call time, so a wrapper perfbench/spans.py puts on it sees each fit.
+# (spans.py also wraps train_lcc and train_klcc here, which no fit calls.)
 
 # perfbench/spans.py wraps this name here; klcc scores through its model
 kscore = KernelLccModel.score
@@ -219,15 +221,12 @@ class Method:
 
     name: str          # also the kind a model file records
     model: type
-    trainer: object    # (train, params with defaults filled in, seed)
+    fits: object       # (train, params with defaults filled in, seed) -> fit
     param_name: str    # procedure 2 searches params[param_key] over grid
     param_key: str     # and reports it under param_name
     grid: tuple
     lam_key: str       # the params key that --lambda sets
     summary: object    # (model, train) -> the lines `lcckit train` prints
-    # (train, params with defaults filled in) -> fit(grid value): procedure
-    # 2's fits on one fold as one chain; None fits each value on its own
-    path: object = None
 
 
 # every params key, with the value an absent key takes
@@ -280,30 +279,27 @@ def _svm_line(model: SvmModel, train: Dataset) -> list:
 
 METHODS = {m.name: m for m in (
     Method("lcc", LccModel,
-           lambda train, p, seed: train_lcc(train, p["lam"], p["sigma"]),
+           lambda train, p, seed: lcc_path(train, p["lam"]),
            "sigma", "sigma", GRID_SIGMA, "lam",
-           _centralizer_summary(lambda model, train: model.epsilons),
-           lambda train, p: lcc_path(train, p["lam"])),
+           _centralizer_summary(lambda model, train: model.epsilons)),
     Method("fqcc", FqccModel,
-           lambda train, p, seed: train_fqcc(train, p["lam"], p["sigma"],
-                                             seed=seed),
+           lambda train, p, seed: lambda sigma: train_fqcc(
+               train, p["lam"], sigma, seed=seed),
            "sigma", "sigma", GRID_SIGMA, "lam",
            _centralizer_summary(_fqcc_slacks)),
     Method("klcc", KernelLccModel,
-           lambda train, p, seed: train_klcc(train, _kernel_spec(train, p),
-                                             p["lam"], p["sigma"]),
+           lambda train, p, seed: klcc_path(train, _kernel_spec(train, p),
+                                            p["lam"]),
            "sigma", "sigma", GRID_SIGMA, "lam",
            _centralizer_summary(lambda model, train: model.epsilons,
-                                _kernel_line),
-           lambda train, p: klcc_path(train, _kernel_spec(train, p),
-                                      p["lam"])),
+                                _kernel_line)),
     Method("lda", LdaModel,
-           lambda train, p, seed: train_lda(train, p["lambda_reg"]),
+           lambda train, p, seed: lambda reg: train_lda(train, reg),
            "lambda_reg", "lambda_reg", GRID_LDA_REG, "lambda_reg",
            lambda model, train: [
                f"shrinkage lambda_reg {model.lambda_reg:.6g}"]),
     Method("svm", SvmModel,
-           lambda train, p, seed: train_linear_svm(train, p["svm_lambda"]),
+           lambda train, p, seed: lambda lam: train_linear_svm(train, lam),
            "lambda", "svm_lambda", GRID_SVM_LAMBDA, "svm_lambda", _svm_line),
 )}
 METHOD_NAMES = tuple(METHODS)
@@ -332,7 +328,8 @@ def fit(method: Method, train: Dataset, params: dict, seed: int):
     """Train one method; with a discriminator in params, the model comes
     back wrapped with a rule fitted on its projected training values."""
     p = {**PARAM_DEFAULTS, **params}
-    return _with_rule(method.trainer(train, p, seed), train, p)
+    return _with_rule(method.fits(train, p, seed)(p[method.param_key]),
+                      train, p)
 
 
 def _with_rule(model, train: Dataset, p: dict):
@@ -462,15 +459,11 @@ def _ranks_from_scores(scores: dict) -> dict:
 def _grid_aucs(method: Method, p: dict, train: Dataset, test: Dataset,
                seed: int) -> list:
     """The held-out AUC at each grid value, in grid order, fitted from the
-    smallest value up: lcc and klcc as one chain (Method.path)."""
-    path = functools.cache(lambda: method.path(train, p))
-
-    def fit_at(value):
-        if method.path is None:
-            return fit(method, train, {**p, method.param_key: value}, seed)
-        return _with_rule(path()(value), train, p)
-
-    aucs = {value: _attempt(lambda: fit_at(value), (test,))[1][0]
+    smallest value up by one method.fits, built at the first fit: lcc
+    and klcc as one chain.  A failure to build it fails each fit."""
+    fits = functools.cache(lambda: method.fits(train, p, seed))
+    aucs = {value: _attempt(lambda: _with_rule(fits()(value), train, p),
+                            (test,))[1][0]
             for value in sorted(method.grid)}
     return [aucs[value] for value in method.grid]
 

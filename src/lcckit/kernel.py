@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _frozen
+from .data import PREDICT_BLOCK, Dataset, _frozen
 from .lcc import (DEFAULT_LAMBDA, DEFAULT_SIGMA, Centralizer, ParameterError,
                   TrainingError, _centralization_lp, _centralization_path)
 from .lp import LpProblem, solve
@@ -117,8 +117,13 @@ class KernelLccModel(Centralizer):
         return self.train_features.shape[1]
 
     def transform(self, X) -> np.ndarray:
-        """Projected value of each row."""
-        return kernel_eval(self.spec, X, self.train_features) @ self.alphas
+        """Projected value of each row, from kernel values of PREDICT_BLOCK
+        rows at a time, so that memory stays flat in the number of rows."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        return np.concatenate([
+            kernel_eval(self.spec, X[start:start + PREDICT_BLOCK],
+                        self.train_features) @ self.alphas
+            for start in range(0, X.shape[0] or 1, PREDICT_BLOCK)])
 
 
 def assemble_klcc_lp(train: Dataset, spec: KernelSpec, lam: float,

@@ -218,8 +218,8 @@ def load_classifier(path: str) -> SavedClassifier:
 def predict_saved(saved: SavedClassifier,
                   raw_features) -> tuple[np.ndarray, np.ndarray]:
     """Labels and continuous scores for raw (unnormalized) input rows,
-    normalized and decided PREDICT_BLOCK rows at a time, so that a klcc
-    model's kernel matrix has at most PREDICT_BLOCK rows."""
+    normalized and decided PREDICT_BLOCK rows at a time, so that no copy
+    of every row is made."""
     feats = np.asarray(raw_features, dtype=np.float64)
     if feats.ndim != 2:
         raise ModelIoError("prediction input must be a 2-D array")

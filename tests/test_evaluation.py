@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lcckit.data import Dataset, demo_gaussian_pair
+from lcckit.data import Dataset, demo_gaussian_pair, gen_shape
 from lcckit.evaluation import (
     GRID_LDA_REG,
     GRID_SIGMA,
@@ -12,6 +12,7 @@ from lcckit.evaluation import (
     EvalError,
     EvalReport,
     GridRecord,
+    METHOD_NAMES,
     RunRecord,
     aggregate_ranks,
     check_methods,
@@ -26,7 +27,8 @@ from lcckit.evaluation import (
     _ranks_from_scores,
 )
 
-from tests.helpers import auc_brute_force, rank_sum_exact
+from tests.helpers import (auc_brute_force, procedure_two_cold,
+                           rank_sum_exact)
 
 
 def two_class(m_neg, m_pos, seed=0):
@@ -379,6 +381,15 @@ def test_procedure_two_grid_and_ranks():
     csv = report_to_csv(report)
     assert csv.startswith("method,param_name")
     assert summary_table(report)
+
+
+def test_procedure_two_matches_the_cold_loop_for_every_method():
+    """Each method's fits on one fold give what a fresh fit per grid value
+    gives: lcc's and klcc's chains as well as fqcc's, lda's and svm's."""
+    config = BenchmarkConfig(gen_shape("jain_like", 60, 0.03, 0),
+                             METHOD_NAMES, seed=0, procedure=2, folds=3)
+    _, records = procedure_two_cold(config)
+    assert run_benchmark(config).grid_records == tuple(records)
 
 
 def test_summary_table_procedure_one_text():

@@ -1,5 +1,6 @@
 """Saved-model round trips: a loaded model predicts bit-for-bit identically."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -180,15 +181,43 @@ def blocked_mismatches() -> list:
     return mismatched
 
 
+def rbf_model_800(rng) -> KernelLccModel:
+    """An RBF model on 800 stored rows, drawn from rng."""
+    return KernelLccModel("rbf", 1.0, rng.uniform(-1.0, 1.0, 800),
+                          rng.normal(0.0, 1.0, (800, 2)), -0.1, 0.1, 0.0,
+                          2.0, -0.01, np.zeros(800))
+
+
+def direct_klcc_decide() -> tuple:
+    """(tracemalloc peak, whether every row's bits equal predict_saved's)
+    of one direct decide of 2e4 rows by rbf_model_800: one kernel matrix
+    over all of them would take 128 MB."""
+    rng = np.random.default_rng(2)
+    model = rbf_model_800(rng)
+    rows = rng.normal(0.0, 1.0, (20_000, 2))
+    tracemalloc.start()
+    try:
+        labels, scores = model.decide(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    saved = predict_saved(SavedClassifier(model), rows)
+    return peak, (np.array_equal(labels, saved[0])
+                  and bits(scores) == bits(saved[1]))
+
+
 def test_predict_saved_in_blocks_as_one_decide():
     """Run with BLAS on one thread, as perfbench runs it.  A threaded
     BLAS splits one call's rows among its threads, and the order of sums
     can change next to a split: with OpenBLAS on two threads, klcc's one
-    decide gives rows 6180, 6181, 12363 and 12364 of these 12365 other
-    last bits than on one thread, while the blocks give the one-thread
-    bits on every row."""
-    code = ("from tests.test_model_io import blocked_mismatches; "
-            "print(blocked_mismatches())")
+    kernel evaluation over these 12365 rows gave rows 6180, 6181, 12363
+    and 12364 other last bits than on one thread, while the blocks give
+    the one-thread bits on every row.  A direct klcc decide evaluates its
+    kernel in the same blocks, within the memory bound predict_saved
+    keeps."""
+    code = ("from tests.test_model_io import blocked_mismatches, "
+            "direct_klcc_decide; "
+            "print((blocked_mismatches(), *direct_klcc_decide()))")
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
                                                         str(root)]),
@@ -196,16 +225,17 @@ def test_predict_saved_in_blocks_as_one_decide():
                                    "MKL_NUM_THREADS")}}
     result = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    mismatches, peak, same_bits = ast.literal_eval(result.stdout)
+    assert mismatches == []
+    assert peak <= 100e6
+    assert same_bits
 
 
 def test_klcc_predict_memory_is_bounded_in_rows():
     """An RBF model on 800 stored rows decides 1e5 rows: one kernel
     matrix over all of them would take 640 MB."""
     rng = np.random.default_rng(2)
-    model = KernelLccModel("rbf", 1.0, rng.uniform(-1.0, 1.0, 800),
-                           rng.normal(0.0, 1.0, (800, 2)), -0.1, 0.1, 0.0,
-                           2.0, -0.01, np.zeros(800))
+    model = rbf_model_800(rng)
     rows = rng.normal(0.0, 1.0, (100_000, 2))
     tracemalloc.start()
     try:
