@@ -11,11 +11,14 @@ The file holds two parts:
   a --budget second limit.  klcc_path_m400 is procedure 2's sigma chain
   for klcc: the 15 grid sigmas from the most negative, RBF median width,
   each solve warm-started from the last optimum; its iterations are the
-  sum over the 15 solves.  A case records the median and every time of
-  REPEATS repeats, the solver iterations where the routine reports
-  them, and the child's own peak RSS (RUSAGE_SELF; RUSAGE_CHILDREN would
-  be a running maximum over every earlier case).  A case over budget
-  is recorded with status "timeout" and the repeats it finished.
+  sum over the 15 solves.  klcc_m400 and klcc_m800 are one cold
+  `train_klcc` each, RBF median width, with its one solve's pivots;
+  klcc_m800 outlasts the default budget.  A case records the median and
+  every time of REPEATS repeats, the solver iterations where the
+  routine reports them, and the child's own peak RSS (RUSAGE_SELF;
+  RUSAGE_CHILDREN would be a running maximum over every earlier case).
+  A case over budget is recorded with status "timeout" and the repeats
+  it finished.
   klcc_predict_1e5 decides 1e5 rows through `predict_saved` with an
   RBF klcc model on 800 stored rows, made from arrays without training.
   predict_cli_1e5 and predict_cli_1e6 time `lcckit predict` (through
@@ -71,6 +74,8 @@ CASES = {
     "svm_m1600": ("svm", 1600),
     "fqcc_m1600": ("fqcc", 1600),
     "klcc_path_m400": ("klcc_path", 400),
+    "klcc_m400": ("klcc", 400),
+    "klcc_m800": ("klcc", 800),
     "klcc_predict_1e5": ("klcc_predict", 100_000),
     "predict_cli_1e5": ("predict_cli", 100_000),
     "predict_cli_1e6": ("predict_cli", 1_000_000),
@@ -109,11 +114,14 @@ def case_routine(routine: str, rows: int, scratch: Path):
             "one_sv", values, train.labels, model)
     if routine == "svm":
         return lambda: baselines.train_linear_svm(train)
-    if routine == "klcc_path":
+    if routine in ("klcc", "klcc_path"):
         from lcckit import kernel
         spec = kernel.KernelSpec(
             "rbf", kernel.median_pairwise_distance(train.features))
-        return lambda: klcc_chain(train, spec)
+        if routine == "klcc":
+            return lambda: klcc_pivots(
+                lambda: kernel.train_klcc(train, spec, LAM, SIGMA))
+        return lambda: klcc_pivots(lambda: klcc_chain(train, spec))
     return lambda: lcc.train_fqcc(train, LAM, SIGMA)
 
 
@@ -161,23 +169,29 @@ def predict_cli(rows: int, scratch: Path):
     return once
 
 
-def klcc_chain(train, spec):
-    """Fit klcc at every grid sigma as procedure 2 does; the result's
-    iterations are the summed pivots of the 15 solves."""
-    from lcckit import evaluation, kernel, lcc
+def klcc_pivots(run):
+    """Call run() with kernel.solve wrapped; the result's iterations are
+    the summed pivots of the solves it made."""
+    from lcckit import kernel
     solutions, real = [], kernel.solve
     kernel.solve = lambda *args: solutions.append(real(*args)) or solutions[-1]
     try:
-        fit = kernel.klcc_path(train, spec, LAM)
-        for sigma in sorted(evaluation.GRID_SIGMA):
-            try:
-                fit(sigma)
-            except lcc.TrainingError:  # no projection reaches |sigma|
-                pass
+        run()
     finally:
         kernel.solve = real
     return types.SimpleNamespace(
         iterations=sum(s.iterations for s in solutions))
+
+
+def klcc_chain(train, spec):
+    """Fit klcc at every grid sigma as procedure 2 does."""
+    from lcckit import evaluation, kernel, lcc
+    fit = kernel.klcc_path(train, spec, LAM)
+    for sigma in sorted(evaluation.GRID_SIGMA):
+        try:
+            fit(sigma)
+        except lcc.TrainingError:  # no projection reaches |sigma|
+            pass
 
 
 def run_case(name: str, scratch: Path) -> None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _frozen, require_both_classes
+from .data import Dataset, _freeze, require_both_classes
 from .lcc import Classifier, ParameterError, TrainingError
 
 DEFAULT_LDA_REG = 0.5
@@ -30,7 +30,7 @@ class LdaModel(Classifier):
     FIELDS = (("weight", "floats"), ("k", "float"), ("lambda_reg", "float"))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", _frozen(self.weight, np.float64))
+        _freeze(self, np.float64, "weight")
         if not np.all(np.isfinite(self.weight)) or not np.isfinite(self.k):
             raise TrainingError("discriminant parameters are not finite")
 
@@ -55,7 +55,7 @@ class SvmModel(Classifier):
     FIELDS = (("weight", "floats"), ("intercept", "float"), ("lam", "float"))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", _frozen(self.weight, np.float64))
+        _freeze(self, np.float64, "weight")
         if not np.all(np.isfinite(self.weight)) or not np.isfinite(self.intercept):
             raise TrainingError("separator parameters are not finite")
 

@@ -60,6 +60,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def non_negative_int(text: str) -> int:
+    """--seed's type: numpy's generators take only integers >= 0."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_gen_spec(text: str, seed: int) -> Dataset:
     """Build a synthetic dataset from "name" or "name:key=val,key=val".
 
@@ -326,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(train)
     train.add_argument("--method", required=True)
     _add_hyper_flags(train)
-    train.add_argument("--seed", type=int, default=42)
+    train.add_argument("--seed", type=non_negative_int, default=42)
     train.add_argument("--out", default=".")
     train.set_defaults(func=cmd_train)
 
@@ -350,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--runs", type=int, default=100)
     bench.add_argument("--procedure", type=int, choices=(1, 2), default=1)
     bench.add_argument("--folds", type=int, default=10)
-    bench.add_argument("--seed", type=int, default=42)
+    bench.add_argument("--seed", type=non_negative_int, default=42)
     bench.add_argument("--out", default=".")
     bench.set_defaults(func=cmd_benchmark)
 
     demo = subs.add_parser("demo", help="regenerate the two-Gaussian"
                            " example CSVs")
-    demo.add_argument("--seed", type=int, default=42)
+    demo.add_argument("--seed", type=non_negative_int, default=42)
     demo.add_argument("--out", default=".")
     demo.set_defaults(func=cmd_demo)
     return parser

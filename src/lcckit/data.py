@@ -45,6 +45,14 @@ def _frozen(a, dtype=None) -> np.ndarray:
     return out
 
 
+def _freeze(record, dtype, *names) -> None:
+    """Set each named field of a frozen dataclass, unless None, to
+    _frozen(field, dtype)."""
+    for name in names:
+        if (value := getattr(record, name)) is not None:
+            object.__setattr__(record, name, _frozen(value, dtype))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An (m, n) float feature matrix plus m labels in {-1, +1}."""
@@ -53,18 +61,18 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.int64)
-        if feats.ndim != 2:
+        _freeze(self, np.float64, "features")
+        labels = np.asarray(self.labels)
+        if self.features.ndim != 2:
             raise DataError("features must be a 2-D array")
-        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
+        if labels.ndim != 1 or labels.shape[0] != self.m:
             raise DataError("labels must be 1-D with one entry per row")
-        if feats.size and not np.all(np.isfinite(feats)):
+        if not np.all(np.isfinite(self.features)):
             raise DataError("features contain non-finite values")
-        if labs.size and not np.all(np.isin(labs, (-1, 1))):
+        # checked before the int64 cast, which would truncate -1.5 to -1
+        if not np.all((labels == -1) | (labels == 1)):
             raise DataError("labels must be -1 or +1")
-        object.__setattr__(self, "features", _frozen(feats))
-        object.__setattr__(self, "labels", _frozen(labs))
+        _freeze(self, np.int64, "labels")
 
     @property
     def m(self) -> int:
@@ -219,8 +227,7 @@ class Normalizer:
     stds: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "means", _frozen(self.means, np.float64))
-        object.__setattr__(self, "stds", _frozen(self.stds, np.float64))
+        _freeze(self, np.float64, "means", "stds")
         if not np.all(self.stds > 0):
             raise DataError("normalizer standard deviations must be positive")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import _sweep_min, hinge_objective, train_linear_svm
-from .data import Dataset, _frozen
+from .data import Dataset, _freeze
 from .lcc import LccModel
 
 DEFAULT_H = 10.0
@@ -64,9 +64,8 @@ class Discriminator:
             raise DiscriminatorError(f"{self.kind} sets exactly the fields "
                                      + ", ".join(wanted))
         if self.kind == "one_nn":
-            object.__setattr__(self, "values",
-                               _frozen(self.values, np.float64))
-            object.__setattr__(self, "labels", _frozen(self.labels, np.int64))
+            _freeze(self, np.float64, "values")
+            _freeze(self, np.int64, "labels")
             if (self.values.shape != self.labels.shape
                     or np.any(np.diff(self.values) < 0)
                     or set(self.labels.tolist()) != {-1, 1}):

@@ -17,7 +17,7 @@ import numpy as np
 from .baselines import (DEFAULT_LDA_REG, DEFAULT_SVM_LAMBDA, LdaModel,
                         SvmModel, _tie_groups, hinge_objective, train_lda,
                         train_linear_svm)
-from .data import (Dataset, _frozen, apply_normalizer, drop_zero_variance,
+from .data import (Dataset, _freeze, apply_normalizer, drop_zero_variance,
                    fit_normalizer, require_both_classes)
 from .discriminators import (KINDS, Discriminator, discriminate,
                              discriminator_score, fit_discriminator)
@@ -100,56 +100,52 @@ class RocResult:
     def __post_init__(self) -> None:
         if not 0.0 <= self.auc <= 1.0:
             raise EvalError(f"auc {self.auc} outside [0, 1]")
-        object.__setattr__(self, "curve", _frozen(self.curve, np.float64))
+        _freeze(self, np.float64, "curve")
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
+def _midranks(values: np.ndarray):
+    """1-based ranks, ties sharing their mean; the stable ascending order;
+    and the end (exclusive) of each run of equal values in that order."""
     order = np.argsort(values, kind="stable")
     ends = _tie_groups(values[order])
-    starts = np.concatenate([[0], ends[:-1]])
+    starts = np.append(0, ends[:-1])
     ranks = np.empty(values.size, dtype=np.float64)
     ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
+    return ranks, order, ends
 
 
 def roc_auc(scores, labels) -> RocResult:
-    """Rank-statistic AUC (ties count one half) with a tie-grouped curve."""
+    """Rank-statistic AUC (ties count one half) with a tie-grouped curve
+    of the same area.  A NaN score ranks highest, as every model labels
+    a NaN score +1."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 1 or scores.shape != labels.shape:
         raise EvalError("scores and labels must be 1-D and equally long")
     pos = labels == 1
-    neg = labels == -1
-    n_pos = int(pos.sum())
-    n_neg = int(neg.sum())
+    n_pos, n_neg = int(pos.sum()), int(np.sum(labels == -1))
     if n_pos == 0 or n_neg == 0:
         raise EvalError("roc_auc needs both classes present")
-    ranks = _midranks(scores)
+    ranks, order, ends = _midranks(scores)
     auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
-    # sweep thresholds downward through the distinct scores
-    order = np.argsort(-scores, kind="stable")
-    ends = _tie_groups(scores[order])
-    tp = np.cumsum(labels[order] == 1)[ends - 1]
-    points = np.column_stack([(ends - tp) / n_neg, tp / n_pos])
+    # sweep down the runs: tp is n_pos less the positives sorted below
+    starts = np.append(0, ends[:-1])[::-1]
+    tp = n_pos - np.append(0, np.cumsum(pos[order]))[starts]
+    points = np.column_stack([scores.size - starts - tp, tp]) / [n_neg, n_pos]
     return RocResult(float(auc), np.vstack([[0.0, 0.0], points]))
 
 
 # ---------------------------------------------------------- rank-sum test
 
-def _rank_sum_exact(pooled: np.ndarray, n_a: int, observed: float) -> float:
-    n = pooled.size
-    ranks = _midranks(pooled)
-    mean = n_a * (n + 1) / 2.0
-    shift = abs(observed - mean) - 1e-12
-    hits = 0
-    total = 0
-    for combo in combinations(range(n), n_a):
-        stat = float(ranks[list(combo)].sum())
-        if abs(stat - mean) >= shift:
-            hits += 1
-        total += 1
-    return hits / total
+def _rank_sum_exact(ranks: np.ndarray, n_a: int, observed: float) -> float:
+    """Share of the C(n, n_a) draws of n_a ranks whose sum lies at least
+    as far from its mean as observed; midranks are multiples of 0.5, so
+    every sum is exact."""
+    mean = n_a * (ranks.size + 1) / 2.0
+    draws = np.array(list(combinations(range(ranks.size), n_a)))
+    return float(np.mean(abs(ranks[draws].sum(axis=1) - mean)
+                         >= abs(observed - mean) - 1e-12))
 
 
 def rank_sum_test(a, b) -> float:
@@ -164,13 +160,13 @@ def rank_sum_test(a, b) -> float:
     if a.size == 0 or b.size == 0:
         raise EvalError("rank_sum_test needs two nonempty samples")
     pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    ranks, _, ends = _midranks(pooled)
     w = float(ranks[:a.size].sum())
     if pooled.size <= EXACT_RANK_SUM_LIMIT:
-        return _rank_sum_exact(pooled, a.size, w)
+        return _rank_sum_exact(ranks, a.size, w)
     n_a, n_b, n = a.size, b.size, pooled.size
     mean = n_a * (n + 1) / 2.0
-    _, counts = np.unique(pooled, return_counts=True)
+    counts = np.diff(ends, prepend=0)
     tie_term = float(((counts ** 3) - counts).sum()) / (n * (n - 1))
     variance = n_a * n_b / 12.0 * ((n + 1) - tie_term)
     if variance <= 0.0:
@@ -452,7 +448,7 @@ def _procedure_one(config: BenchmarkConfig, methods: list[Method],
 
 def _ranks_from_scores(scores: dict) -> dict:
     """0-indexed descending ranks; tied values share the mean position."""
-    ranks = _midranks(-np.array(list(scores.values()), dtype=np.float64))
+    ranks = _midranks(-np.array(list(scores.values()), dtype=np.float64))[0]
     return {name: float(rank - 1.0) for name, rank in zip(scores, ranks)}
 
 
@@ -508,6 +504,8 @@ def run_benchmark(config: BenchmarkConfig) -> EvalReport:
         raise EvalError("need at least one method")
     if config.runs < 1:
         raise EvalError("runs must be at least 1")
+    if config.seed < 0:
+        raise EvalError("seed must be at least 0")
     if config.procedure not in (1, 2):
         raise EvalError(f"unknown procedure {config.procedure}")
     check_methods(config.methods, config.params)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PREDICT_BLOCK, Dataset, _frozen
+from .data import PREDICT_BLOCK, Dataset, _freeze
 from .lcc import (DEFAULT_LAMBDA, DEFAULT_SIGMA, Centralizer, ParameterError,
                   TrainingError, _centralization_lp, _centralization_path)
 from .lp import LpProblem, solve
@@ -101,9 +101,7 @@ class KernelLccModel(Centralizer):
 
     def __post_init__(self) -> None:
         KernelSpec(self.kernel, self.rbf_width)  # validates both
-        for name in ("alphas", "train_features", "epsilons"):
-            object.__setattr__(self, name,
-                               _frozen(getattr(self, name), np.float64))
+        _freeze(self, np.float64, "alphas", "train_features", "epsilons")
         if self.train_features.ndim != 2 or \
                 self.alphas.shape != self.train_features.shape[:1]:
             raise TrainingError("need one alpha per stored training row")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _frozen, require_both_classes
+from .data import Dataset, _freeze, _frozen, require_both_classes
 from .lp import LpProblem, solve
 
 DEFAULT_LAMBDA = 2.0
@@ -141,9 +141,7 @@ class LccModel(Centralizer):
               ("sigma", "float"), ("epsilons", "floats"))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", _frozen(self.beta, np.float64))
-        object.__setattr__(self, "epsilons",
-                           _frozen(self.epsilons, np.float64))
+        _freeze(self, np.float64, "beta", "epsilons")
 
     @property
     def n_features(self) -> int:
@@ -241,7 +239,7 @@ class FqccModel(Classifier):
               ("objective", "float"))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", _frozen(self.beta, np.float64))
+        _freeze(self, np.float64, "beta")
 
     @property
     def n_features(self) -> int:

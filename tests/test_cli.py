@@ -207,6 +207,23 @@ def test_bad_hyperparameter_values_exit_1(tmp_path, capsys, argv):
     assert not (out / "model.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--method", "fqcc"],
+    ["benchmark", "--method", "lcc,lda", "--runs", "2"],
+    ["demo"],
+])
+def test_negative_seed_exits_1_naming_it(tmp_path, capsys, argv):
+    # numpy's generators take no negative seed; argparse refuses it first
+    data = tmp_path / "train.csv"
+    write_labeled_csv(data, demo_gaussian_pair(20, seed=0))
+    extra = [] if argv == ["demo"] else ["--data", str(data)]
+    out = tmp_path / "out"
+    assert main([*argv, *extra, "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method, flag, value, name", [
     ("fqcc", "--lambda", "inf", "lam"),
     ("fqcc", "--sigma", "-inf", "sigma"),

@@ -46,6 +46,14 @@ def test_dataset_rejects_bad_input():
         Dataset([[1.0], [2.0]], [0, 1])         # labels not in {-1, +1}
 
 
+@pytest.mark.parametrize("labels", [[-1.9, -1.2, 1.5, 1.99],
+                                    [-1.0, np.nan, 1.0, 1.0]])
+def test_dataset_refuses_labels_the_int_cast_would_mangle(labels):
+    # -1.9 would truncate to -1; NaN has no integer at all
+    with pytest.raises(DataError, match=r"labels must be -1 or \+1"):
+        Dataset(np.zeros((4, 1)), labels)
+
+
 def test_take_selects_rows():
     ds = Dataset([[0.0], [1.0], [2.0]], [-1, -1, 1])
     sub = ds.take([2, 0])

@@ -126,12 +126,18 @@ def test_auc_matches_pairwise_oracle():
 
 def test_auc_curve_shape_and_area():
     rng = np.random.default_rng(11)
+    cases = []
     for _ in range(50):
         m = int(rng.integers(6, 40))
         s = np.round(rng.normal(size=m), 1)
         y = np.where(rng.random(m) < 0.5, -1, 1)
         if len(set(y.tolist())) < 2:
             y[0] = -y[0]
+        cases.append((s, y))
+    # a NaN score ranks highest in the AUC, and so in the curve
+    cases.append((np.array([np.nan, 0.1, 0.2, 0.3]),
+                  np.array([1, -1, 1, -1])))
+    for s, y in cases:
         r = roc_auc(s, y)
         assert tuple(r.curve[0]) == (0.0, 0.0)
         assert tuple(r.curve[-1]) == (1.0, 1.0)
