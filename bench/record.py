@@ -13,10 +13,14 @@ The file holds two parts:
   each solve warm-started from the last optimum; its iterations are the
   sum over the 15 solves.  klcc_m400 and klcc_m800 are one cold
   `train_klcc` each, RBF median width, with its one solve's pivots;
-  klcc_m800 outlasts the default budget.  A case records the median and
-  every time of REPEATS repeats, the solver iterations where the
-  routine reports them, and the child's own peak RSS (RUSAGE_SELF;
-  RUSAGE_CHILDREN would be a running maximum over every earlier case).
+  klcc_m800 outlasts the default budget.  dense_box_400 is one cold
+  `lp.solve`, with its pivots, of a seeded random 400 x 400 program with
+  a dense A, every row "<=", every column boxed and the box midpoint
+  strictly feasible, so that its optimal basis is mostly dense columns.
+  A case records the median and every time of REPEATS repeats, the
+  solver iterations where the routine reports them, and the child's own
+  peak RSS (RUSAGE_SELF; RUSAGE_CHILDREN would be a running maximum over
+  every earlier case).
   A case over budget is recorded with status "timeout" and the repeats
   it finished.
   klcc_predict_1e5 decides 1e5 rows through `predict_saved` with an
@@ -25,7 +29,7 @@ The file holds two parts:
   `cli.main`) on a labelled CSV of that many rows, which the child first
   writes in chunks, untimed, to a scratch directory the recorder removes.
 
-All cases share one data set per size: `gen_gaussian_pair` with means 0
+The other cases share one data set per size: `gen_gaussian_pair` with means 0
 and 0.5/sqrt(10) per coordinate, identity covariances, seed 0, z-scored;
 lam 2 and sigma -2^-7.  Python, numpy and (if installed) scipy versions
 and nproc are recorded once.  lcckit is imported from the `src/`
@@ -76,6 +80,7 @@ CASES = {
     "klcc_path_m400": ("klcc_path", 400),
     "klcc_m400": ("klcc", 400),
     "klcc_m800": ("klcc", 800),
+    "dense_box_400": ("dense_box", 400),
     "klcc_predict_1e5": ("klcc_predict", 100_000),
     "predict_cli_1e5": ("predict_cli", 100_000),
     "predict_cli_1e6": ("predict_cli", 1_000_000),
@@ -102,6 +107,9 @@ def case_routine(routine: str, rows: int, scratch: Path):
         return klcc_predict(rows)
     if routine == "predict_cli":
         return predict_cli(rows, scratch)
+    if routine == "dense_box":
+        problem = dense_box(rows)
+        return lambda: lp.solve(problem)
     train = scale_data(rows)
     if routine == "lcc":
         return lambda: lp.solve(lcc.assemble_lcc_lp(train, LAM, SIGMA))
@@ -123,6 +131,17 @@ def case_routine(routine: str, rows: int, scratch: Path):
                 lambda: kernel.train_klcc(train, spec, LAM, SIGMA))
         return lambda: klcc_pivots(lambda: klcc_chain(train, spec))
     return lambda: lcc.train_fqcc(train, LAM, SIGMA)
+
+
+def dense_box(n: int):
+    """The dense_box program on n rows and n columns, seed 0."""
+    from lcckit.lp import LpProblem
+    rng = np.random.default_rng(0)
+    c, A = rng.normal(0.0, 2.0, n), rng.normal(0.0, 1.5, (n, n))
+    lower = rng.uniform(-4.0, 0.0, n)
+    upper = lower + rng.uniform(0.5, 6.0, n)
+    b = A @ ((lower + upper) / 2) + rng.uniform(0.0, 1.0, n)
+    return LpProblem(c, A, ("<=",) * n, b, lower, upper)
 
 
 def klcc_predict(rows: int):

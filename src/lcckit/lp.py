@@ -28,14 +28,16 @@ LU factorizations of LP bases treat singletons first (Suhl & Suhl,
 bases", ORSA J. Computing 2(4), 1990).  A basic column with one nonzero
 (a slack, an artificial, or a structural column such as eps_i) covers its
 row; the k rows left over, restricted to the k basic columns with more
-than one nonzero, form a k x k block F.  After each basis change the
-split is rebuilt and only F is inverted, so B^-1 a and B^-T c_B cost
-O(r k + k^2) instead of O(r^2), and no r x r matrix is ever formed.  The
-rebuild costs O(r k + k^3), cheap while k is small, as in the
-centralization programs: at most n for lcc, whose only dense columns are
-the n beta columns, and 21 for klcc on the spiral shape at m=400.  On a
-program whose basis is mostly dense columns it costs more than the rank-1
-update of a full inverse would.
+than one nonzero, form a k x k block F.  factor() inverts F and keeps
+B^-1's k columns at F's rows, so B^-1 a and B^-T c_B cost O(r k) and no
+r x r matrix is formed.  A basis change updates those columns in O(r k)
+by the product form of the inverse (Dantzig & Orchard-Hays, Math. Tables
+and Other Aids to Computation 8, 1954): F gains a row and a column when
+a singleton leaves, and loses one when a singleton enters.  factor()
+runs again only at the start of a solve, and when a pivot element is
+below FEASIBILITY_TOLERANCE times the largest entry of its column, where
+the update would amplify rounding.  k stays small in the centralization
+programs: at most n for lcc and 21 for klcc on the spiral shape at m=400.
 
 The primal phases price by Dantzig's rule with a permanent switch to
 Bland's rule once the objective stalls, so they terminate on degenerate
@@ -63,7 +65,7 @@ variable can lower a linear form.
 
 Everything is deterministic: identical problems produce bit-identical
 solutions at a fixed BLAS thread count.  Across thread counts the last
-bits can move: klcc at m=400 differed by 1.5e-11 in alpha.
+bits can move: klcc at m=400 differed by up to 4.4e-10 in alpha.
 """
 
 from __future__ import annotations
@@ -86,6 +88,8 @@ _BASIC = 3
 # by status code: may a nonbasic variable move up / down from its value
 _CAN_RISE = np.array([True, False, True, False])
 _CAN_FALL = np.array([False, True, True, False])
+# one lookup in the two tables end to end: rise where v_j < 0, else fall
+_LOWERS = np.concatenate((_CAN_FALL, _CAN_RISE))
 
 
 class CyclingError(RuntimeError):
@@ -192,9 +196,10 @@ class _Tableau:
     nonzero's row and value; every other column is a row of `dense`, a
     contiguous copy of those columns of A.  Dense columns carry the row
     index r and the value 0, so `y[row]` reads the zero that `btran`
-    appends to y.  The basis is held the same way: its singleton columns
-    cover one row each, and the k rows they leave uncovered, restricted to
-    the k dense basic columns, form the block F, the one part inverted.
+    appends to y.  In the basis, the singleton at position i covers row
+    pair[i] and has recip[i] = 1 / value; a dense position has recip 0 and
+    its own uncovered row pair[i].  Row t of inv_d is B^-1's column for the
+    uncovered row rows_d[t].
     """
 
     def __init__(self, problem: LpProblem, start: LpSolution | None = None):
@@ -289,44 +294,57 @@ class _Tableau:
             [self.status, np.full(n_art, _BASIC, dtype=np.int8)])
 
     def factor(self) -> None:
-        """Split the basis into its singleton columns and the block F,
-        and invert F."""
-        rows = self.row[self.basis]
-        single = rows < self.r
-        self.pos_s = single.nonzero()[0]
-        self.pos_d = (~single).nonzero()[0]
-        self.rows_s = rows[self.pos_s]
-        self.vals_s = self.value[self.basis[self.pos_s]]
+        """Split the basis, invert its block F and build inv_d from F^-1."""
+        self.pair = self.row[self.basis]
+        single = self.pair < self.r
+        pos_d = (~single).nonzero()[0]
         uncovered = np.ones(self.r, dtype=bool)
-        uncovered[self.rows_s] = False
+        uncovered[self.pair[single]] = False
         self.rows_d = uncovered.nonzero()[0]
-        block = self.dense[self.slot[self.basis[self.pos_d]]]
-        self.f_inv = np.linalg.inv(block[:, self.rows_d].T)
-        self.coupling = block[:, self.rows_s]
+        block = self.dense[self.slot[self.basis[pos_d]]]
+        f_inv = np.linalg.inv(block[:, self.rows_d].T)
+        self.recip = np.zeros(self.r)
+        self.recip[single] = 1.0 / self.value[self.basis[single]]
+        self.inv_d = np.empty((pos_d.size, self.r))
+        self.inv_d[:, pos_d] = f_inv.T
+        self.inv_d[:, single] = -(f_inv.T @ block[:, self.pair[single]]
+                                  * self.recip[single])
+        self.pair[pos_d] = self.rows_d
 
-    def column(self, j: int) -> np.ndarray:
-        if self.row[j] == self.r:
-            return self.dense[self.slot[j]]
-        a = np.zeros(self.r)
-        a[self.row[j]] = self.value[j]
-        return a
+    pos_d = property(lambda self: (self.recip == 0.0).nonzero()[0])
+    pos_s = property(lambda self: self.recip.nonzero()[0])
+    f_inv = property(lambda self: self.inv_d[:, self.pos_d].T)
+
+    def column(self, j, weights=None) -> np.ndarray:
+        """a_j, or the sum of weights[i] a_{j[i]} for an array j."""
+        if weights is None:
+            if self.row[j] == self.r:
+                return self.dense[self.slot[j]]
+            a = np.zeros(self.r)
+            a[self.row[j]] = self.value[j]
+            return a
+        rows = self.row[j]
+        dense = rows == self.r
+        return (np.bincount(rows, self.value[j] * weights,
+                            minlength=self.r + 1)[:self.r]
+                + weights[dense] @ self.dense[self.slot[j[dense]]])
 
     def ftran(self, a: np.ndarray) -> np.ndarray:
         """B^-1 a, in basis-position order."""
-        alpha = np.empty(self.r)
-        dense_part = self.f_inv @ a[self.rows_d]
-        alpha[self.pos_d] = dense_part
-        alpha[self.pos_s] = ((a[self.rows_s] - dense_part @ self.coupling)
-                             / self.vals_s)
-        return alpha
+        return a[self.rows_d] @ self.inv_d + a[self.pair] * self.recip
 
     def btran(self, c_b: np.ndarray) -> np.ndarray:
         """y with B^T y = c_b, plus a trailing zero for the dense columns'
         row index."""
         y = np.zeros(self.r + 1)
-        y_s = c_b[self.pos_s] / self.vals_s
-        y[self.rows_s] = y_s
-        y[self.rows_d] = (c_b[self.pos_d] - self.coupling @ y_s) @ self.f_inv
+        y[self.pair] = c_b * self.recip
+        y[self.rows_d] = self.inv_d @ c_b
+        return y
+
+    def inverse_row(self, pos: int) -> np.ndarray:
+        """btran(e_pos), read off inv_d and recip."""
+        y = np.zeros(self.r + 1)
+        y[self.pair[pos]], y[self.rows_d] = self.recip[pos], self.inv_d[:, pos]
         return y
 
     def dot(self, y: np.ndarray) -> np.ndarray:
@@ -335,18 +353,40 @@ class _Tableau:
         products[self.dense_cols] += self.dense @ y[:-1]
         return products
 
-    def pivot(self, pos: int, entering: int, moves: np.ndarray,
-              step: float, to_upper: bool) -> None:
-        """Move the basic values by moves and entering by step; entering
-        takes basis position pos, whose variable leaves at a bound."""
+    def pivot(self, pos: int, entering: int, alpha: np.ndarray,
+              theta: float, to_upper: bool) -> None:
+        """Move entering by theta and the basic values by -alpha theta,
+        alpha = B^-1 a_entering; entering takes position pos, whose variable
+        leaves at a bound.  The new B^-1 is B^-1 - (alpha - e_pos) rho /
+        alpha[pos], rho = e_pos^T B^-1: a leaving singleton first adds its
+        row to inv_d (B^-1 there is e_pos / value), an entering one then
+        removes its row."""
         leaving = self.basis[pos]
-        self.x[self.basis] += moves
-        self.x[entering] += step
+        self.x[self.basis] -= alpha * theta
+        self.x[entering] += theta
         self.status[leaving] = _AT_UPPER if to_upper else _AT_LOWER
         self.x[leaving] = (self.upper if to_upper else self.lower)[leaving]
         self.status[entering] = _BASIC
         self.basis[pos] = entering
-        self.factor()
+        if abs(alpha[pos]) < FEASIBILITY_TOLERANCE * np.abs(alpha).max():
+            self.factor()  # rather than amplify rounding past 1e7
+            return
+        if self.recip[pos]:
+            grown = np.zeros((1, self.r))
+            grown[0, pos], self.recip[pos] = self.recip[pos], 0.0
+            self.inv_d = np.concatenate((self.inv_d, grown))
+            self.rows_d = np.concatenate((self.rows_d, self.pair[pos:pos + 1]))
+        rho = self.inv_d[:, pos] / alpha[pos]
+        self.inv_d -= rho[:, None] * alpha
+        self.inv_d[:, pos] = rho
+        row = self.row[entering]
+        if row < self.r:  # pos takes the row; its partner takes pos's old row
+            i, partner = ((self.rows_d == row).argmax(),
+                          (self.pair == row).argmax())
+            self.pair[partner], self.pair[pos] = self.pair[pos], row
+            self.recip[pos] = 1.0 / self.value[entering]
+            self.inv_d[i], self.rows_d[i] = self.inv_d[-1], self.rows_d[-1]
+            self.inv_d, self.rows_d = self.inv_d[:-1], self.rows_d[:-1]
 
     def recompute_basic_values(self) -> None:
         nonbasic = np.where(self.status == _BASIC, 0.0, self.x)
@@ -361,9 +401,7 @@ def _descent(status: np.ndarray, v: np.ndarray,
     """For each column, how fast v . x falls as the variable moves the way
     its status and bounds allow: |v_j| if it may move against the sign of
     v_j, else 0, as for basic and fixed variables."""
-    # one lookup in the two tables end to end: rise where v_j < 0, else fall
-    lowers = np.concatenate((_CAN_FALL, _CAN_RISE))[
-        status + _CAN_FALL.size * (v < 0)]
+    lowers = _LOWERS[status + _CAN_FALL.size * (v < 0)]
     return np.abs(v) * (lowers & movable)
 
 
@@ -436,13 +474,13 @@ def _simplex_phase(tab: _Tableau, c: np.ndarray, cap: int,
             leave_pos = int(blocking[choice])
         # every blocking row has |alpha| above PIVOT_TOLERANCE by the ratio
         # test, so the new basis, and with it F, is nonsingular
-        tab.pivot(leave_pos, entering, delta * step, direction * step,
+        tab.pivot(leave_pos, entering, alpha, direction * step,
                   delta[leave_pos] > 0)
     raise CyclingError(f"no optimum after {cap} iterations: cycling suspected")
 
 
-def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
-                stall_limit: int) -> tuple[bool, int]:
+def _dual_phase(tab: _Tableau, c: np.ndarray, reduced: np.ndarray,
+                cap: int, stall_limit: int) -> tuple[bool, int]:
     """Dual simplex pivots from a dual feasible basis until every basic
     value is within its bounds.  Dual steepest edge (Forrest & Goldfarb)
     picks the leaving row by the largest excess^2 / w_i; the weights start
@@ -453,54 +491,52 @@ def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
     bound in increasing order, flipping each boxed one to its other bound
     while the slope, excess - sum |alpha_rj| (u_j - l_j) over the flipped,
     stays >= 0; the first that would turn it negative enters, ties to the
-    largest |alpha_rj|.  Returns (finished, pivots); finished is False
-    when no breakpoint stops the slope, when c . x has not risen for
-    stall_limit pivots, or after cap pivots."""
-    span = tab.upper - tab.lower
-    reduced = c - tab.dot(tab.btran(c[tab.basis]))
-    weights = np.ones(tab.r)
-    best, stalled = float(c @ tab.x), 0
+    largest |alpha_rj|.  reduced, c's reduced costs at the start, are
+    updated in place.  Returns (finished, pivots); finished is False when
+    no breakpoint stops the slope, when c . x has not risen for stall_limit
+    pivots, or after cap pivots."""
+    span, movable = tab.upper - tab.lower, tab.upper > tab.lower
+    lower, upper = tab.lower[tab.basis], tab.upper[tab.basis]
+    weights, best, stalled = np.ones(tab.r), float(c @ tab.x), 0
     for pivots in range(cap + 1):
         objective = float(c @ tab.x)
         gained = objective > best + 1e-9 * (1.0 + abs(best))
         best, stalled = max(best, objective), 0 if gained else stalled + 1
         basic = tab.x[tab.basis]
-        below = tab.lower[tab.basis] - basic
-        excess = np.maximum(below, basic - tab.upper[tab.basis])
+        below = lower - basic
+        excess = np.maximum(below, basic - upper)
         if excess.max(initial=0.0) <= PIVOT_TOLERANCE:
             return True, pivots
         pos = int((np.where(excess > PIVOT_TOLERANCE, excess, 0.0) ** 2
                    / weights).argmax())
         rise = below[pos] > 0  # the leaving variable rises to its lower bound
-        rho = tab.btran(np.eye(1, tab.r, pos)[0])
+        rho = tab.inverse_row(pos)
         row = tab.dot(rho)  # alpha_r
         # the leaving variable moves by -alpha_rj per unit rise of x_j:
         # eligible are the moves that lower row . x if it must rise, else
         # the moves that raise it
-        toward = _descent(tab.status, row if rise else -row, span > 0)
+        toward = _descent(tab.status, row if rise else -row, movable)
         eligible = (toward > PIVOT_TOLERANCE).nonzero()[0]
         ratios = np.abs(reduced[eligible] / row[eligible])
         order = ratios.argsort(kind="stable")
         eligible, ratios = eligible[order], ratios[order]
-        slope = excess[pos] - np.cumsum(toward[eligible] * span[eligible])
+        slope = excess[pos] - (toward[eligible] * span[eligible]).cumsum()
         passed = np.count_nonzero(slope >= 0.0)  # slope never rises
         if passed == eligible.size or stalled > stall_limit or pivots == cap:
             break
         flips, eligible, ratios = (eligible[:passed], eligible[passed:],
                                    ratios[passed:])
+        near = eligible[ratios <= ratios[0] + PIVOT_TOLERANCE]
+        entering = int(near[np.abs(row[near]).argmax()])
         if passed:  # flip the passed columns, one ftran of their sum
             up = (row[flips] < 0) == rise
             tab.status[flips] = np.where(up, _AT_UPPER, _AT_LOWER)
             bounds = np.where(up, tab.upper[flips], tab.lower[flips])
-            summed = sum(move * tab.column(j) for j, move
-                         in zip(flips, bounds - tab.x[flips]))
+            summed = tab.column(flips, bounds - tab.x[flips])
             tab.x[flips] = bounds
             basic = tab.x[tab.basis] = basic - tab.ftran(summed)
-        near = eligible[ratios <= ratios[0] + PIVOT_TOLERANCE]
-        entering = int(near[np.abs(row[near]).argmax()])
         alpha = tab.ftran(tab.column(entering))
-        target = (tab.lower if rise else tab.upper)[tab.basis[pos]]
-        step = (basic[pos] - target) / alpha[pos]
+        step = (basic[pos] - (lower if rise else upper)[pos]) / alpha[pos]
         theta = reduced[entering] / row[entering]
         reduced -= theta * row
         reduced[tab.basis[pos]], reduced[entering] = -theta, 0.0
@@ -508,14 +544,16 @@ def _dual_phase(tab: _Tableau, c: np.ndarray, cap: int,
         weights -= ratio * (2.0 * tab.ftran(rho[:-1]) - ratio * w_r)
         weights[pos] = w_r / alpha[pos] ** 2
         np.maximum(weights, WEIGHT_FLOOR, out=weights)
-        tab.pivot(pos, entering, -alpha * step, step, not rise)
+        tab.pivot(pos, entering, alpha, step, not rise)
+        lower[pos], upper[pos] = tab.lower[entering], tab.upper[entering]
     return False, pivots
 
 
-def _dual_infeasibility(tab: _Tableau, c: np.ndarray) -> float:
-    """The largest wrong-sign reduced cost for costs c of a movable
-    nonbasic variable at tab's basis, 0 when there is none."""
-    reduced = c - tab.dot(tab.btran(c[tab.basis]))
+def _dual_infeasibility(tab: _Tableau, c: np.ndarray, reduced=None) -> float:
+    """The largest wrong-sign reduced cost (reduced, if given) for costs c
+    of a movable nonbasic variable at tab's basis, 0 when there is none."""
+    if reduced is None:
+        reduced = c - tab.dot(tab.btran(c[tab.basis]))
     return float(_descent(tab.status, reduced,
                           tab.upper - tab.lower > 0).max(initial=0.0))
 
@@ -571,10 +609,11 @@ def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
         try:
             tab.factor()
             tab.recompute_basic_values()
-            if (np.all(np.isfinite(tab.x))
-                    and _dual_infeasibility(tab, c) <= PIVOT_TOLERANCE):
-                finished, spent = _dual_phase(tab, c, max_iterations,
-                                              stall_limit)
+            reduced = c - tab.dot(tab.btran(c[tab.basis]))
+            if (np.all(np.isfinite(tab.x)) and _dual_infeasibility(
+                    tab, c, reduced) <= PIVOT_TOLERANCE):
+                finished, spent = _dual_phase(tab, c, reduced,
+                                              max_iterations, stall_limit)
                 if finished:
                     answer = _answer(tab, problem, c, "optimal", spent,
                                      tolerance)

@@ -388,6 +388,78 @@ def test_every_basic_column_dense(monkeypatch):
     assert tab.f_inv.shape == (4, 4)
 
 
+def dense_box_lp(n, seed):
+    """A random n x n program, every row "<=" and every column boxed, with
+    a strictly feasible midpoint: most of its basis ends up dense."""
+    rng = np.random.default_rng(seed)
+    c, A = rng.normal(0.0, 2.0, n), rng.normal(0.0, 1.5, (n, n))
+    lower = rng.uniform(-4.0, 0.0, n)
+    upper = lower + rng.uniform(0.5, 6.0, n)
+    b = A @ ((lower + upper) / 2) + rng.uniform(0.0, 1.0, n)
+    return make(c, A, ("<=",) * n, b, lower, upper)
+
+
+def test_basis_changes_update_the_factors(monkeypatch):
+    # each pivot updates B^-1's columns and the split instead of factoring
+    # afresh; after every update ftran and btran must solve with the
+    # explicit basis.  The kinds are (singleton leaves, singleton enters)
+    rng = np.random.default_rng(31)
+    kinds, refactored = {}, []
+    real_pivot, real_factor = lp._Tableau.pivot, lp._Tableau.factor
+
+    def factor(tab):
+        refactored.append(hasattr(tab, "inv_d"))  # not the first factor
+        real_factor(tab)
+
+    def pivot(tab, pos, entering, *args):
+        kind = (bool(tab.row[tab.basis[pos]] < tab.r),
+                bool(tab.row[entering] < tab.r))
+        kinds[kind] = kinds.get(kind, 0) + 1
+        real_pivot(tab, pos, entering, *args)
+        basis = np.column_stack([tab.column(j) for j in tab.basis])
+        v = rng.normal(size=tab.r)
+        for got, want in ((tab.ftran(v), np.linalg.solve(basis, v)),
+                          (tab.btran(v)[:-1], np.linalg.solve(basis.T, v))):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    monkeypatch.setattr(lp._Tableau, "factor", factor)
+    monkeypatch.setattr(lp._Tableau, "pivot", pivot)
+    for _ in range(300):
+        raw = random_crash_lp(rng)
+        first = solve(make(*raw))
+        # a warm start reads a free nonbasic variable at -inf and falls back
+        if first.status == "optimal" and lp._FREE not in first.statuses:
+            solve(make(*moved(rng, raw)), first)
+    for _, _, problem in centralization_programs():
+        solve(problem)
+    assert len(kinds) == 4 and min(kinds.values()) >= 50, kinds
+    assert sum(refactored) <= 0.01 * sum(kinds.values())
+
+
+def test_a_small_pivot_element_refactors(monkeypatch):
+    # maximize x with 1e-8 x <= 1e-9 and x <= 10: x enters on the first
+    # row, whose pivot element 1e-8 is below FEASIBILITY_TOLERANCE times
+    # the column's largest entry 1, so the basis is factored afresh
+    factored = count_calls(monkeypatch, lp._Tableau, "factor")
+    problem = make([-1.0], [[1e-8], [1.0]], ("<=", "<="), [1e-9, 10.0],
+                   [0.0], [np.inf])
+    sol = solve(problem)
+    assert (sol.status, sol.iterations, len(factored)) == ("optimal", 1, 2)
+    assert sol.x[0] == pytest.approx(0.1, rel=1e-12)
+    assert sol.dual_infeasibility <= 1e-9
+
+
+def test_long_dense_run_certifies_and_matches_highs():
+    problem = dense_box_lp(100, 0)
+    sol = solve(problem)
+    assert sol.status == "optimal" and sol.iterations >= 300
+    assert sol.dual_infeasibility <= 1e-9
+    assert residuals_ok(problem, sol.x)
+    status, objective = highs(problem)
+    assert status == "optimal"
+    assert sol.objective_value == pytest.approx(objective, rel=1e-9, abs=0.0)
+
+
 def moved(rng, raw):
     """raw with b and the bounds moved, c, A and the relations kept."""
     c, A, relations, b, lower, upper = raw
