@@ -1,58 +1,60 @@
-"""Record one commit's benchmark numbers in one JSON file.
+"""Measure the working tree against a base commit, in pairs, in one file.
 
-    python3 bench/record.py --out BENCH_11.json
+    python3 bench/record.py --base HEAD~1 --out BENCH_25.json
 
-The file holds two parts:
+Both sides run from sibling snapshots in one temporary directory, with
+names of one length so that their paths have one length too: `base`, the
+base commit by `git archive`, and `chng`, the working tree's tracked
+files and its untracked files that git does not ignore; `.git` is only
+read.  Each --seeds value is one round: per workload, one untraced
+`perfbench/run.py` pair at that seed; then one pair of every scale case,
+each side in a fresh child process under a --budget second limit.  Last,
+one traced pair per workload at the first seed gives counts (pivots,
+solves, calls) next to its times.  A pair's sides run one right after
+the other, the first side alternating by round.  --workload and --case
+are repeatable: naming any runs only what is named; naming none, all.
 
-- "perfbench": the last JSON line of `perfbench/run.py`, kept as it is,
-  for every workload at each of SEEDS, untraced at --seconds, plus one
-  traced (`--trace 1`) run per workload at seed 0;
-- "scale": the cases of CASES, each run in its own child process under
-  a --budget second limit.  klcc_path_m400 is procedure 2's sigma chain
-  for klcc: the 15 grid sigmas from the most negative, RBF median width,
-  each solve warm-started from the last optimum; its iterations are the
-  sum over the 15 solves.  klcc_m400 and klcc_m800 are one cold
-  `train_klcc` each, RBF median width, with its one solve's pivots;
-  klcc_m800 outlasts the default budget.  dense_box_400 is one cold
-  `lp.solve`, with its pivots, of a seeded random 400 x 400 program with
-  a dense A, every row "<=", every column boxed and the box midpoint
-  strictly feasible, so that its optimal basis is mostly dense columns.
-  A case records the median and every time of REPEATS repeats, the
-  solver iterations where the routine reports them, and the child's own
-  peak RSS (RUSAGE_SELF; RUSAGE_CHILDREN would be a running maximum over
-  every earlier case).
-  A case over budget is recorded with status "timeout" and the repeats
-  it finished.
-  klcc_predict_1e5 decides 1e5 rows through `predict_saved` with an
-  RBF klcc model on 800 stored rows, made from arrays without training.
-  predict_cli_1e5 and predict_cli_1e6 time `lcckit predict` (through
-  `cli.main`) on a labelled CSV of that many rows, which the child first
-  writes in chunks, untimed, to a scratch directory the recorder removes.
+A case times one call of its routine after an untimed set-up, with the
+solver iterations and the child's own peak RSS; over budget it is a
+"timeout" with no time.  Children on both sides run this script's copy
+in `chng`, import lcckit from their own snapshot's `src/` and have BLAS
+on one thread.  The routines: one `lp.solve` of lcc's program; the 1sv
+rule on the center-difference projection; `train_linear_svm`;
+`train_fqcc`; procedure 2's klcc sigma chain, warm-started over the 15
+grid sigmas (pivots summed); one cold `train_klcc`; one cold `lp.solve`
+of a seeded dense 400 x 400 program with boxed columns; `predict_saved`
+of an RBF klcc model on 800 stored rows, made without training; `lcckit
+predict` on a CSV written first to a scratch directory.  All on
+`scale_data`, with lam 2, sigma -2^-7 and the RBF median width.
 
-The other cases share one data set per size: `gen_gaussian_pair` with means 0
-and 0.5/sqrt(10) per coordinate, identity covariances, seed 0, z-scored;
-lam 2 and sigma -2^-7.  Python, numpy and (if installed) scipy versions
-and nproc are recorded once.  lcckit is imported from the `src/`
-directory next to this one, so a copy of another commit records that
-commit.  A quick check of the script itself:
+Each workload's end-to-end metrics in BENCHMARK.json, and each case's
+time and peak RSS, are compared pair by pair: a win when the change's
+value is better by the metric's direction, a loss when worse.  A failed
+run (its output check fails, or a case not "ok") loses the pairs of the
+values it lacks, and no seed is dropped.  The sign test counts wins
+against losses (ties dropped), two-sided.  A gain resolves when the
+change wins at least nine tenths of all pairs and the medians differ by
+more than the base's interquartile range (quartiles interpolated
+linearly); a metric regresses when the change's median is worse by more
+than its bound, a fraction of the base's median; a case has no bound.
+The JSON file written is the BENCH file: every run, the comparisons and
+a paragraph for CHANGES.md, also printed.  A quick check of the script:
 
-    python3 bench/record.py --out /tmp/bench.json --seconds 1 --budget 3
+    python3 bench/record.py --base HEAD --seeds 0 --seconds 1 --budget 3 \
+        --out /tmp/bench.json
 """
 
 from __future__ import annotations
-
-import os
-
-# one thread per process, as perfbench pins it, before numpy loads
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 
 import argparse
 import contextlib
 import io
 import json
+import math
+import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -65,8 +67,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("p1_gaussian", "p2_jain", "train_predict")
-SEEDS = (0, 1, 2)
-REPEATS = 3
 N_FEATURES = 10
 LAM, SIGMA = 2.0, -2.0 ** -7
 # case name -> (routine, rows)
@@ -91,6 +91,8 @@ CSV_CHUNK_ROWS = 10_000
 
 
 def scale_data(rows: int):
+    """gen_gaussian_pair's z-scored classes, seed 0: identity covariances,
+    means 0 and 0.5/sqrt(10) per coordinate."""
     from lcckit.data import (Dataset, fit_normalizer, gen_gaussian_pair,
                              normalize_features)
     eye = np.eye(N_FEATURES)
@@ -194,10 +196,7 @@ def klcc_pivots(run):
     from lcckit import kernel
     solutions, real = [], kernel.solve
     kernel.solve = lambda *args: solutions.append(real(*args)) or solutions[-1]
-    try:
-        run()
-    finally:
-        kernel.solve = real
+    run()  # once per child, so the wrapper need not be undone
     return types.SimpleNamespace(
         iterations=sum(s.iterations for s in solutions))
 
@@ -214,99 +213,275 @@ def klcc_chain(train, spec):
 
 
 def run_case(name: str, scratch: Path) -> None:
-    """Child process: one JSON line per finished repeat."""
-    sys.path.insert(0, str(ROOT / "src"))
-    routine, rows = CASES[name]
-    once = case_routine(routine, rows, scratch)
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        # only an LP solution reports its iterations
-        iterations = getattr(once(), "iterations", None)
-        seconds = time.perf_counter() - start
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps({"s": seconds, "iterations": iterations,
-                          "peak_rss_mb": peak_mb}), flush=True)
+    """Child process: time the case once and print one JSON line."""
+    sys.path.insert(0, str(Path.cwd() / "src"))
+    once = case_routine(*CASES[name], scratch)
+    start = time.perf_counter()
+    # only an LP solution reports its iterations
+    iterations = getattr(once(), "iterations", None)
+    seconds = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps({"s": seconds, "iterations": iterations,
+                      "peak_rss_mb": peak_mb}))
 
 
-def measure_case(name: str, budget: float) -> dict:
-    routine, rows = CASES[name]
-    record = {"routine": routine, "rows": rows, "n": N_FEATURES}
+def child(argv: list, tree: Path, timeout=None):
+    """Run argv in tree with BLAS on one thread, as perfbench pins it."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    return subprocess.run(argv, capture_output=True, text=True, cwd=tree,
+                          env=env, timeout=timeout)
+
+
+def measure_case(tree: Path, script: Path, name: str, budget: float) -> dict:
+    """One fresh child of script in tree: s, iterations, peak_rss_mb."""
+    record = {"status": "timeout", "failed": True, "s": None,
+              "iterations": None, "peak_rss_mb": None}
+    with tempfile.TemporaryDirectory(dir=tree.parent) as scratch:
+        try:
+            done = child([sys.executable, str(script), "--case", name,
+                          "--scratch", scratch], tree, budget)
+        except subprocess.TimeoutExpired:
+            return record
+    if done.returncode != 0:
+        return dict(record, status="error", stderr_tail=done.stderr[-2000:])
+    return dict(record, status="ok", failed=False,
+                **json.loads(done.stdout.splitlines()[-1]))
+
+
+def perfbench(tree: Path, workload: str, seed: int, seconds: int,
+              trace: int) -> dict:
+    """One perfbench run in tree: its last JSON line as result, or None."""
+    done = child([sys.executable, str(tree / "perfbench" / "run.py"),
+                  "--workload", workload, "--seed", str(seed), "--seconds",
+                  str(seconds), "--trace", str(trace)], tree)
     try:
-        with tempfile.TemporaryDirectory() as scratch:
-            argv = [sys.executable, __file__, "--case", name, "--scratch",
-                    scratch]
-            done = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=budget)
-        out, status = done.stdout, "ok" if done.returncode == 0 else "error"
-        if status == "error":
-            record["stderr_tail"] = done.stderr[-2000:]
-    except subprocess.TimeoutExpired as exc:
-        out, status = exc.stdout or "", "timeout"
-        if isinstance(out, bytes):
-            out = out.decode()
-    lines = [json.loads(line) for line in out.splitlines() if line.strip()]
-    record["status"] = status
-    record["times_s"] = [line["s"] for line in lines]
-    record["median_s"] = (statistics.median(record["times_s"])
-                          if status == "ok" and lines else None)
-    record["iterations"] = lines[-1]["iterations"] if lines else None
-    record["peak_rss_mb"] = lines[-1]["peak_rss_mb"] if lines else None
-    return record
-
-
-def perfbench(workload: str, seed: int, seconds: int, trace: int) -> dict:
-    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-            workload, "--seed", str(seed), "--seconds", str(seconds),
-            "--trace", str(trace)]
-    done = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT)
-    lines = done.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1])
+        result = json.loads(done.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
-    run = {"workload": workload, "seed": seed, "seconds": seconds,
-           "trace": trace, "exit": done.returncode, "result": result}
+    run = {"trace": trace, "exit": done.returncode, "result": result,
+           "failed": result is None or result.get("correct") is not True}
     if result is None:
         run["stderr_tail"] = done.stderr[-2000:]
     return run
 
 
-def versions() -> dict:
-    found = {"python": platform.python_version(), "numpy": np.__version__}
-    try:
-        import scipy
-        found["scipy"] = scipy.__version__
-    except ImportError:
-        found["scipy"] = None
-    return found
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided p-value of wins against losses under a fair coin."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2.0 ** n)
 
 
-def main(argv=None) -> int:
+def quartiles(values) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), linearly interpolated."""
+    values = list(values)
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def compare(base, change, better: str, bound: float) -> dict:
+    """Pairwise comparison of one metric; None marks a missing value."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = losses = 0
+    for b, c in zip(base, change):
+        if b is None or c is None:
+            wins += b is None and c is not None
+            losses += c is None and b is not None
+        elif sign * (c - b) > 0:
+            wins += 1
+        elif sign * (c - b) < 0:
+            losses += 1
+    pairs = len(base)
+    ratios = [c / b for b, c in zip(base, change)
+              if b is not None and c is not None and b != 0]
+    base_q = quartiles([b for b in base if b is not None] or [math.nan])
+    change_q = quartiles([c for c in change if c is not None] or [math.nan])
+    gain = sign * (change_q[1] - base_q[1])
+    return {
+        "pairs": pairs, "wins": wins, "losses": losses,
+        "ties": pairs - wins - losses, "sign_test_p": sign_test(wins, losses),
+        "median_ratio": statistics.median(ratios) if ratios else None,
+        "base_quartiles": base_q, "change_quartiles": change_q,
+        "base_iqr": base_q[2] - base_q[0], "median_gain": gain,
+        "gain_resolves": (wins >= 0.9 * pairs
+                          and gain > base_q[2] - base_q[0]),
+        "regresses": -gain > bound * abs(base_q[1]),
+    }
+
+
+def metric(run: dict, name: str):
+    """A perfbench run's value of name, or a case measurement's."""
+    if "result" not in run:
+        return run[name]
+    return ((run["result"] or {}).get("metrics", {}).get(name) or {}).get(
+        "value")
+
+
+def summarize(runs: list, metrics: list, counts: list) -> dict:
+    """One workload's or case's runs: failed runs per side, each (name,
+    better, bound) metric compared pair by pair, and each count per side
+    from the last run that reports it (a workload's traced run)."""
+    sides = [[r for r in runs if r["side"] == side]
+             for side in ("base", "change")]
+    return {
+        "failed": [sum(r["failed"] for r in side) for side in sides],
+        "metrics": {name: compare(*[[metric(r, name) for r in side
+                                     if not r.get("trace")]
+                                    for side in sides], better, bound)
+                    for name, better, bound in metrics},
+        "counts": {name: [next((metric(r, name) for r in side[::-1]
+                                if metric(r, name) is not None), None)
+                          for side in sides] for name in counts}}
+
+
+def extract(rev: str, into: Path) -> str:
+    """Write the tree of rev under into; returns its commit hash."""
+    commit = git("rev-parse", rev).decode().strip()
+    into.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(into)], input=git("archive", commit),
+                   check=True)
+    return commit
+
+
+def snapshot(into: Path) -> None:
+    """Copy the working tree's tracked files, and its untracked files that
+    git does not ignore, under into."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.decode().split("\0")):
+        if os.path.lexists(ROOT / name):  # a deleted file stays tracked
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name, follow_symlinks=False)
+
+
+def git(*args) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args],
+                          capture_output=True, check=True).stdout
+
+
+def paragraph(args, base_commit: str, summary: dict) -> str:
+    """The comparison as sentences for CHANGES.md."""
+    lines = [f"Pairs against {args.base} ({base_commit[:10]}), "
+             f"`bench/record.py`, seeds {args.seeds}, --seconds "
+             f"{args.seconds}, --budget {args.budget:g}, base and change "
+             f"alternating which runs first:"]
+    for name, s in summary.items():
+        parts = []
+        for metric_name, m in s["metrics"].items():
+            b, c = m["base_quartiles"], m["change_quartiles"]
+            verdict = ("gain resolves" if m["gain_resolves"]
+                       else "regresses past its bound" if m["regresses"]
+                       else "no resolved change")
+            ratio = ("n/a" if m["median_ratio"] is None
+                     else f"{m['median_ratio']:.3f}")
+            parts.append(
+                f"{metric_name} {b[1]:.4g} -> {c[1]:.4g} (base quartiles "
+                f"{b[0]:.4g}/{b[2]:.4g}, IQR {m['base_iqr']:.3g}, median "
+                f"gain {m['median_gain']:.3g}), change better in "
+                f"{m['wins']} of {m['pairs']} pairs, {m['losses']} worse, "
+                f"sign test p = {m['sign_test_p']:.3g}, median ratio "
+                f"{ratio}: {verdict}")
+        parts += [f"{count} {b} -> {c}"
+                  for count, (b, c) in s["counts"].items() if b or c]
+        lines.append(f"- {name}: failed runs base {s['failed'][0]}, "
+                     f"change {s['failed'][1]}; " + "; ".join(parts) + ".")
+    return "\n".join(lines)
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds += range(int(first), int(last or first) + 1)
+    return seeds
+
+
+def parse_args(argv=None):
+    """The options, with --workload and --case set to what runs."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", help="path of the JSON file to write")
+    parser.add_argument("--base", help="git revision to compare with")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="a perfbench workload to run (repeatable)")
+    parser.add_argument("--case", action="append", choices=list(CASES),
+                        help="a scale case to run (repeatable)")
+    parser.add_argument("--seeds", default="0-2",
+                        help="rounds, one per seed, as ranges such as 0-9")
     parser.add_argument("--seconds", type=int, default=30,
                         help="--seconds of each perfbench run")
     parser.add_argument("--budget", type=float, default=120.0,
-                        help="seconds each scale case may take in all")
-    parser.add_argument("--case", choices=list(CASES), help=argparse.SUPPRESS)
+                        help="seconds a case may take on each side")
+    parser.add_argument("--out", help="path of the JSON file to write")
     parser.add_argument("--scratch", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.case:
-        run_case(args.case, args.scratch)
+    if args.scratch is None and not (args.base and args.out):
+        parser.error("--base and --out are required")
+    if not (args.workload or args.case):
+        args.workload, args.case = list(WORKLOADS), list(CASES)
+    args.workload, args.case = args.workload or [], args.case or []
+    return args
+
+
+def versions() -> dict:
+    try:
+        import scipy
+    except ImportError:
+        scipy = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy and scipy.__version__}
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.scratch is not None:
+        run_case(args.case[0], args.scratch)
         return 0
-    if not args.out:
-        parser.error("--out is required")
-    runs = [perfbench(w, s, args.seconds, 0) for w in WORKLOADS
-            for s in SEEDS]
-    runs += [perfbench(w, 0, args.seconds, 1) for w in WORKLOADS]
-    record = {"versions": versions(), "nproc": len(os.sched_getaffinity(0)),
-              "config": {"seeds": list(SEEDS), "seconds": args.seconds,
-                         "repeats": REPEATS, "budget_s": args.budget,
-                         "lam": LAM, "sigma": SIGMA},
-              "perfbench": runs,
-              "scale": {name: measure_case(name, args.budget)
-                        for name in CASES}}
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    seeds = parse_seeds(args.seeds)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs, cases = [], []
+
+    def pair(order, into, shown, measure, **labels):
+        for side, tree in order:
+            into.append(dict(measure(tree), side=side, **labels))
+            print(*labels.values(), side, shown, metric(into[-1], shown),
+                  "FAILED" if into[-1]["failed"] else "", flush=True)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        order = (("base", Path(tmp) / "base"), ("change", Path(tmp) / "chng"))
+        base_commit = extract(args.base, order[0][1])
+        snapshot(order[1][1])
+        for i, seed in enumerate(seeds):
+            sides = order if i % 2 == 0 else order[::-1]
+            for workload in args.workload:
+                pair(sides, runs, "wall_s", lambda tree: perfbench(
+                    tree, workload, seed, args.seconds, 0),
+                    workload=workload, seed=seed)
+            for name in args.case:
+                pair(sides, cases, "s", lambda tree: measure_case(
+                    tree, order[1][1] / "bench" / "record.py", name,
+                    args.budget), case=name, seed=seed)
+        for workload in args.workload:
+            pair(order, runs, "lp.lcc.iterations", lambda tree: perfbench(
+                tree, workload, seeds[0], args.seconds, 1),
+                workload=workload, seed=seeds[0])
+    end_to_end = [(m["name"], m["better"], m["bound"])
+                  for m in spec["end_to_end"]]
+    counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
+    summary = {w: summarize([r for r in runs if r["workload"] == w],
+                            end_to_end, counts) for w in args.workload}
+    summary.update({name: summarize(
+        [r for r in cases if r["case"] == name],
+        [("s", "lower", math.inf), ("peak_rss_mb", "lower", math.inf)],
+        ["iterations"]) for name in args.case})
+    text = paragraph(args, base_commit, summary)
+    Path(args.out).write_text(json.dumps(
+        {"base": args.base, "base_commit": base_commit,
+         "versions": versions(), "nproc": len(os.sched_getaffinity(0)),
+         "config": {"seeds": seeds, "seconds": args.seconds,
+                    "budget_s": args.budget, "lam": LAM, "sigma": SIGMA},
+         "perfbench": runs, "scale": cases, "summary": summary,
+         "paragraph": text}, indent=1) + "\n")
+    print(text)
     return 0
 
 

@@ -232,7 +232,8 @@ class _Tableau:
         else:  # the columns start marks basic; the rest at their bounds
             self.status = start.statuses.copy()
             self.basis = np.flatnonzero(self.status == _BASIC)
-            self.x = np.where(self.status == _AT_UPPER, self.upper, self.lower)
+            self.x = np.where(self.status == _AT_UPPER, self.upper,
+                              np.where(self.status == _FREE, 0.0, self.lower))
 
     def _crash(self, problem: LpProblem) -> None:
         """Set the starting point and basis.
@@ -310,10 +311,6 @@ class _Tableau:
         self.inv_d[:, single] = -(f_inv.T @ block[:, self.pair[single]]
                                   * self.recip[single])
         self.pair[pos_d] = self.rows_d
-
-    pos_d = property(lambda self: (self.recip == 0.0).nonzero()[0])
-    pos_s = property(lambda self: self.recip.nonzero()[0])
-    f_inv = property(lambda self: self.inv_d[:, self.pos_d].T)
 
     def column(self, j, weights=None) -> np.ndarray:
         """a_j, or the sum of weights[i] a_{j[i]} for an array j."""

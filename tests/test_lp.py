@@ -384,8 +384,8 @@ def test_every_basic_column_dense(monkeypatch):
     assert np.allclose(sol.x, np.linalg.solve(A, b), rtol=0, atol=1e-12)
     tab = tableaus[-1]
     assert sorted(tab.basis.tolist()) == [0, 1, 2, 3]
-    assert tab.pos_d.size == 4 and tab.pos_s.size == 0
-    assert tab.f_inv.shape == (4, 4)
+    dense = tab.recip == 0.0
+    assert dense.all() and tab.inv_d[:, dense].shape == (4, 4)
 
 
 def dense_box_lp(n, seed):
@@ -427,8 +427,7 @@ def test_basis_changes_update_the_factors(monkeypatch):
     for _ in range(300):
         raw = random_crash_lp(rng)
         first = solve(make(*raw))
-        # a warm start reads a free nonbasic variable at -inf and falls back
-        if first.status == "optimal" and lp._FREE not in first.statuses:
+        if first.status == "optimal":
             solve(make(*moved(rng, raw)), first)
     for _, _, problem in centralization_programs():
         solve(problem)
@@ -541,7 +540,8 @@ def narrow_box_lp(rng):
 def test_warm_sweep_of_narrow_boxed_programs(monkeypatch):
     has_highs = scipy_imports()
     runs = record_dual_phases(monkeypatch)
-    # a finished attempt reads one column per pivot and per flip
+    # a finished attempt reads the columns it flips in one weighted call
+    # per flipping pivot
     columns = count_calls(monkeypatch, lp._Tableau, "column")
     rng = np.random.default_rng(23)
     programs = finished_warm = flips = 0
@@ -557,7 +557,7 @@ def test_warm_sweep_of_narrow_boxed_programs(monkeypatch):
         warm = solve(problem, first)
         if runs and runs[0][0]:
             finished_warm += 1
-            flips += len(columns) - runs[0][1]
+            flips += sum(args[1].size for args in columns if len(args) == 3)
         cold = solve(problem)
         assert warm.status == cold.status, format_problem(problem)
         if has_highs:
@@ -685,6 +685,22 @@ def test_warm_start_reads_its_basis_from_the_statuses(monkeypatch):
     for code in (7, -1):
         with pytest.raises(LpFormatError, match="codes 0 to 3"):
             start((0, code, 0, 3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_warm_start_places_a_free_variable_at_zero(monkeypatch):
+    # minimize -x over x in [0, 2] and y free, with x <= 1: y's column is
+    # empty, so y stays nonbasic and free; the warm start places it at 0,
+    # as the crash does, and finishes in the dual phase with no pivot
+    problem = make([-1.0, 0.0], [[1.0, 0.0]], ("<=",), [1.0],
+                   [0.0, -np.inf], [2.0, np.inf])
+    cold = solve(problem)
+    assert cold.x.tolist() == [1.0, 0.0] and lp._FREE in cold.statuses
+    runs = record_dual_phases(monkeypatch)
+    warm = solve(problem, cold)
+    assert runs == [(True, 0)]
+    assert warm.x.tolist() == [1.0, 0.0]
+    assert (warm.status, warm.objective_value) == ("optimal", -1.0)
 
 
 def test_start_with_a_singular_basis_gives_the_cold_answer(monkeypatch):
