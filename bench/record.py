@@ -25,7 +25,9 @@ grid sigmas (pivots summed); one cold `train_klcc`; one cold `lp.solve`
 of a seeded dense 400 x 400 program with boxed columns; `predict_saved`
 of an RBF klcc model on 800 stored rows, made without training; `lcckit
 predict` on a CSV written first to a scratch directory.  All on
-`scale_data`, with lam 2, sigma -2^-7 and the RBF median width.
+`scale_data`, with lam 2, sigma -2^-7 and the RBF median width.  Last,
+`lcckit benchmark`'s procedure 1 with klcc,lcc,lda,svm over 20 runs on
+the 300-row spiral shape, seed 0, its klcc pivots summed.
 
 Each workload's end-to-end metrics in BENCHMARK.json, and each case's
 time and peak RSS, are compared pair by pair: a win when the change's
@@ -33,10 +35,15 @@ value is better by the metric's direction, a loss when worse.  A failed
 run (its output check fails, or a case not "ok") loses the pairs of the
 values it lacks, and no seed is dropped.  The sign test counts wins
 against losses (ties dropped), two-sided.  A gain resolves when the
-change wins at least nine tenths of all pairs and the medians differ by
-more than the base's interquartile range (quartiles interpolated
-linearly); a metric regresses when the change's median is worse by more
+change wins at least nine tenths of all pairs, the sign test gives p <=
+0.05, and the medians differ by more than the base's interquartile range
+(quartiles interpolated linearly); a metric reads "slower" by the same
+rule with losses for wins.  p <= 0.05 needs at least 6 pairs (6 of 6,
+or 9 of 10; 5 of 5 gives p = 0.0625), so fewer pairs read "not enough
+pairs".  A metric regresses when the change's median is worse by more
 than its bound, a fraction of the base's median; a case has no bound.
+A claim of a gain resolves on two disjoint seed sets, such as 0-9 and
+10-19.
 The JSON file written is the BENCH file: every run, the comparisons and
 a paragraph for CHANGES.md, also printed.  A quick check of the script:
 
@@ -84,10 +91,12 @@ CASES = {
     "klcc_predict_1e5": ("klcc_predict", 100_000),
     "predict_cli_1e5": ("predict_cli", 100_000),
     "predict_cli_1e6": ("predict_cli", 1_000_000),
+    "p1_klcc_spiral": ("p1_klcc", 300),
 }
 SHIFT = np.full(N_FEATURES, 0.5 / np.sqrt(N_FEATURES))   # class +1's mean
 KLCC_STORED_ROWS = 800
 CSV_CHUNK_ROWS = 10_000
+P_RESOLVES = 0.05   # the sign test's p at which a verdict resolves
 
 
 def scale_data(rows: int):
@@ -109,6 +118,12 @@ def case_routine(routine: str, rows: int, scratch: Path):
         return klcc_predict(rows)
     if routine == "predict_cli":
         return predict_cli(rows, scratch)
+    if routine == "p1_klcc":
+        once = quiet_main(
+            ["benchmark", "--gen", f"spiral:m={rows}", "--method",
+             "klcc,lcc,lda,svm", "--runs", "20", "--seed", "0", "--out",
+             str(scratch)])
+        return lambda: klcc_pivots(once)
     if routine == "dense_box":
         problem = dense_box(rows)
         return lambda: lp.solve(problem)
@@ -165,7 +180,7 @@ def predict_cli(rows: int, scratch: Path):
     """Save an lcc model (the center-difference projection of the m=1600
     data) and write a labelled CSV of rows rows from the same two
     classes, CSV_CHUNK_ROWS at a time; the callable predicts the CSV."""
-    from lcckit import cli, lcc
+    from lcckit import lcc
     from lcckit.model_io import SavedClassifier, save_classifier
     train = scale_data(1600)
     neg, pos = lcc.class_centers(train)
@@ -180,13 +195,20 @@ def predict_cli(rows: int, scratch: Path):
                      + np.outer(labels == 1, SHIFT))
             np.savetxt(fh, np.column_stack([feats, labels]), delimiter=",",
                        fmt=["%.17g"] * N_FEATURES + ["%d"])
-    argv = ["predict", "--model", str(scratch / "model.txt"), "--data",
-            str(scratch / "rows.csv"), "--out", str(scratch)]
+    return quiet_main(["predict", "--model", str(scratch / "model.txt"),
+                       "--data", str(scratch / "rows.csv"), "--out",
+                       str(scratch)])
+
+
+def quiet_main(argv):
+    """A callable that runs lcckit's command line on argv, stdout
+    silenced, and raises unless it exits 0."""
+    from lcckit import cli
 
     def once():
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv) != 0:
-                raise RuntimeError("lcckit predict failed")
+                raise RuntimeError(f"lcckit {argv[0]} failed")
     return once
 
 
@@ -299,16 +321,25 @@ def compare(base, change, better: str, bound: float) -> dict:
     base_q = quartiles([b for b in base if b is not None] or [math.nan])
     change_q = quartiles([c for c in change if c is not None] or [math.nan])
     gain = sign * (change_q[1] - base_q[1])
-    return {
+    p, iqr = sign_test(wins, losses), base_q[2] - base_q[0]
+    result = {
         "pairs": pairs, "wins": wins, "losses": losses,
-        "ties": pairs - wins - losses, "sign_test_p": sign_test(wins, losses),
+        "ties": pairs - wins - losses, "sign_test_p": p,
         "median_ratio": statistics.median(ratios) if ratios else None,
         "base_quartiles": base_q, "change_quartiles": change_q,
-        "base_iqr": base_q[2] - base_q[0], "median_gain": gain,
-        "gain_resolves": (wins >= 0.9 * pairs
-                          and gain > base_q[2] - base_q[0]),
+        "base_iqr": iqr, "median_gain": gain,
+        "gain_resolves": (wins >= 0.9 * pairs and p <= P_RESOLVES
+                          and gain > iqr),
+        "slower": losses >= 0.9 * pairs and p <= P_RESOLVES and -gain > iqr,
         "regresses": -gain > bound * abs(base_q[1]),
     }
+    result["verdict"] = (
+        "gain resolves" if result["gain_resolves"]
+        else "regresses past its bound" if result["regresses"]
+        else "slower" if result["slower"]
+        else "not enough pairs" if sign_test(pairs, 0) > P_RESOLVES
+        else "no resolved change")
+    return result
 
 
 def metric(run: dict, name: str):
@@ -370,9 +401,6 @@ def paragraph(args, base_commit: str, summary: dict) -> str:
         parts = []
         for metric_name, m in s["metrics"].items():
             b, c = m["base_quartiles"], m["change_quartiles"]
-            verdict = ("gain resolves" if m["gain_resolves"]
-                       else "regresses past its bound" if m["regresses"]
-                       else "no resolved change")
             ratio = ("n/a" if m["median_ratio"] is None
                      else f"{m['median_ratio']:.3f}")
             parts.append(
@@ -381,7 +409,7 @@ def paragraph(args, base_commit: str, summary: dict) -> str:
                 f"gain {m['median_gain']:.3g}), change better in "
                 f"{m['wins']} of {m['pairs']} pairs, {m['losses']} worse, "
                 f"sign test p = {m['sign_test_p']:.3g}, median ratio "
-                f"{ratio}: {verdict}")
+                f"{ratio}: {m['verdict']}")
         parts += [f"{count} {b} -> {c}"
                   for count, (b, c) in s["counts"].items() if b or c]
         lines.append(f"- {name}: failed runs base {s['failed'][0]}, "

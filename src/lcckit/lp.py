@@ -36,8 +36,12 @@ and Other Aids to Computation 8, 1954): F gains a row and a column when
 a singleton leaves, and loses one when a singleton enters.  factor()
 runs again only at the start of a solve, and when a pivot element is
 below FEASIBILITY_TOLERANCE times the largest entry of its column, where
-the update would amplify rounding.  k stays small in the centralization
-programs: at most n for lcc and 21 for klcc on the spiral shape at m=400.
+the update would amplify rounding.  k is at most n for lcc.  For klcc it
+depends on the solve: procedure 2's warm-started chains on jain_like at
+m=200 stay at k <= 9, but one cold RBF klcc fit on 400 rows of 10-D
+Gaussian data (lam 2, sigma -2^-7) reaches k = 178, with a median of 87
+over its 36,477 basis changes, so there each pivot's O(r k) work
+dominates (ROADMAP item 16).
 
 The primal phases price by Dantzig's rule with a permanent switch to
 Bland's rule once the objective stalls, so they terminate on degenerate

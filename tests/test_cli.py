@@ -12,6 +12,7 @@ import pytest
 from lcckit import cli
 from lcckit.cli import main, parse_gen_spec
 from lcckit.data import _BLANK, as_labels, demo_gaussian_pair, read_matrix
+from lcckit.evaluation import METHODS
 from lcckit.model_io import PREDICT_BLOCK, load_classifier, predict_saved
 
 
@@ -440,16 +441,34 @@ def test_benchmark_reproducible_ignoring_wall_time(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_benchmark_procedure_2_grid_report(tmp_path, capsys):
+@pytest.mark.parametrize("spec, methods, folds", [
+    ("gaussian:m_per_class=30", "lcc,lda", 5),
+    ("gaussian:m_per_class=60", "lcc,svm", 3),
+    ("jain_like:m=80", "lcc,klcc,lda", 3),
+    ("spiral:m=80", "lcc,klcc", 3), ("circles:m=80", "lcc,klcc", 3),
+])
+def test_benchmark_procedure_2_grid_report(spec, methods, folds, tmp_path,
+                                           capsys):
+    """Procedure 2 through main, lcc and klcc as warm-started sigma
+    chains: one grid row per method, its best value taken from its grid,
+    ranked by best AUC."""
     out = tmp_path / "bench2"
-    rc = main(["benchmark", "--gen", "gaussian:m_per_class=30",
-               "--method", "lcc,lda", "--procedure", "2",
-               "--folds", "5", "--out", str(out)])
+    rc = main(["benchmark", "--gen", spec, "--method", methods,
+               "--procedure", "2", "--folds", str(folds), "--out", str(out)])
     assert rc == 0
     rows = (out / "report.csv").read_text().splitlines()
     assert rows[0] == "method,param_name,best_param,best_auc,rank"
-    assert len(rows) == 3
     assert "rank" in capsys.readouterr().out
+    rows = [row.split(",") for row in rows[1:]]
+    assert [r[0] for r in rows] == methods.split(",")
+    for name, param_name, best, auc, _ in rows:
+        assert param_name == METHODS[name].param_name
+        assert float(best) in METHODS[name].grid
+        assert 0.0 <= float(auc) <= 1.0, (name, auc)
+    # 0-based ranks by best AUC, highest first, ties sharing their mean
+    aucs = [float(r[3]) for r in rows]
+    assert [float(r[4]) for r in rows] == [
+        sum(b > a for b in aucs) + (aucs.count(a) - 1) / 2 for a in aucs]
 
 
 def test_benchmark_rejects_bad_method_list(tmp_path, capsys):
@@ -700,6 +719,25 @@ def test_predict_accuracy_of_labels_split_over_blocks(tmp_path, capsys,
         f"accuracy {accuracy:.4f}"
     assert len((tmp_path / "out" / "predictions.csv").read_text()
                .splitlines()) == LONG_ROWS + 1
+
+
+@pytest.mark.parametrize("method, rule", [("lcc", "1sv"), ("klcc", "1nn")])
+def test_predict_file_and_stdout_are_the_same_bytes(tmp_path, capsys, method,
+                                                    rule):
+    """More than three blocks of labelled rows: predictions.csv under --out
+    holds byte for byte what predict prints without it."""
+    assert main(["train", "--gen", "gaussian:m_per_class=60", "--method",
+                 method, "--discriminator", rule, "--seed", "0", "--out",
+                 str(tmp_path / "model")]) == 0
+    model = tmp_path / "model" / "model.txt"
+    lines, _ = long_csv_lines(lambda i: i % 2 * 2 - 1)
+    capsys.readouterr()
+    assert predict_to(tmp_path, model, lines, None) == 0
+    printed = capsys.readouterr().out.encode()
+    assert predict_to(tmp_path, model, lines, "fresh") == 0
+    written = (tmp_path / "out" / "predictions.csv").read_bytes()
+    assert written == printed
+    assert written.count(b"\n") == LONG_ROWS + 1
 
 
 def test_predict_memory_is_flat_in_rows(tmp_path, saved_model):

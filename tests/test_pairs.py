@@ -68,6 +68,37 @@ def test_compare_flags_a_regression_past_the_bound():
     assert math.isclose(result["median_gain"], -0.3)
 
 
+def test_three_pairs_cannot_resolve_a_gain():
+    # 3 of 3 wins gives p = 0.25, however large the gain
+    result = record.compare([1.0, 1.1, 1.2], [0.1, 0.2, 0.3], "lower",
+                            math.inf)
+    assert result["wins"] == 3 and result["sign_test_p"] == 0.25
+    assert not result["gain_resolves"]
+    assert result["verdict"] == "not enough pairs"
+
+
+def test_six_pairs_all_won_resolve_a_gain():
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5]
+    result = record.compare(base, [b / 2 for b in base], "lower", math.inf)
+    assert result["sign_test_p"] == pytest.approx(2 / 64)
+    assert result["gain_resolves"] and result["verdict"] == "gain resolves"
+    # five of five gives p = 0.0625: not enough
+    assert record.compare(base[:5], [b / 2 for b in base[:5]], "lower",
+                          math.inf)["verdict"] == "not enough pairs"
+
+
+def test_a_case_losing_nine_of_ten_pairs_reads_slower():
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    change = [b * 2 for b in base[:-1]] + [1.0]
+    result = record.compare(base, change, "lower", math.inf)
+    assert (result["wins"], result["losses"]) == (1, 9)
+    assert result["slower"] and not result["regresses"]
+    assert result["verdict"] == "slower"
+    # the same pairs, mirrored, are a gain and not slower
+    mirrored = record.compare(change, base, "lower", math.inf)
+    assert mirrored["gain_resolves"] and not mirrored["slower"]
+
+
 def test_parse_seeds():
     assert record.parse_seeds("300-303") == [300, 301, 302, 303]
     assert record.parse_seeds("0,5-6") == [0, 5, 6]
