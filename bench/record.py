@@ -37,11 +37,12 @@ values it lacks, and no seed is dropped.  The sign test counts wins
 against losses (ties dropped), two-sided.  A gain resolves when the
 change wins at least nine tenths of all pairs, the sign test gives p <=
 0.05, and the medians differ by more than the base's interquartile range
-(quartiles interpolated linearly); a metric reads "slower" by the same
-rule with losses for wins.  p <= 0.05 needs at least 6 pairs (6 of 6,
-or 9 of 10; 5 of 5 gives p = 0.0625), so fewer pairs read "not enough
-pairs".  A metric regresses when the change's median is worse by more
-than its bound, a fraction of the base's median; a case has no bound.
+(quartiles interpolated linearly); for peak RSS, by more than
+RSS_STEP_MB as well.  A metric reads "slower" by the same rule with
+losses for wins.  p <= 0.05 needs at least 6 pairs (6 of 6, or 9 of 10;
+5 of 5 gives p = 0.0625), so fewer pairs read "not enough pairs".  A
+metric regresses when the change's median is worse by more than its
+bound, a fraction of the base's median; a case has no bound.
 A claim of a gain resolves on two disjoint seed sets, such as 0-9 and
 10-19.
 The JSON file written is the BENCH file: every run, the comparisons and
@@ -97,6 +98,11 @@ SHIFT = np.full(N_FEATURES, 0.5 / np.sqrt(N_FEATURES))   # class +1's mean
 KLCC_STORED_ROWS = 800
 CSV_CHUNK_ROWS = 10_000
 P_RESOLVES = 0.05   # the sign test's p at which a verdict resolves
+# peak RSS moves in steps that say nothing about the work done: about
+# 0.13 MB when the source, compiled afresh in each run, grows, and up to
+# 1.2 MB in klcc_path_m400's memory layout; a smaller median difference
+# resolves no verdict
+RSS_STEP_MB = 1.2
 
 
 def scale_data(rows: int):
@@ -303,8 +309,10 @@ def quartiles(values) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def compare(base, change, better: str, bound: float) -> dict:
-    """Pairwise comparison of one metric; None marks a missing value."""
+def compare(base, change, better: str, bound: float,
+            step: float = 0.0) -> dict:
+    """Pairwise comparison of one metric; None marks a missing value.  step
+    is the smallest median difference that may resolve a verdict."""
     sign = 1.0 if better == "higher" else -1.0
     wins = losses = 0
     for b, c in zip(base, change):
@@ -322,6 +330,7 @@ def compare(base, change, better: str, bound: float) -> dict:
     change_q = quartiles([c for c in change if c is not None] or [math.nan])
     gain = sign * (change_q[1] - base_q[1])
     p, iqr = sign_test(wins, losses), base_q[2] - base_q[0]
+    floor = max(iqr, step)
     result = {
         "pairs": pairs, "wins": wins, "losses": losses,
         "ties": pairs - wins - losses, "sign_test_p": p,
@@ -329,8 +338,8 @@ def compare(base, change, better: str, bound: float) -> dict:
         "base_quartiles": base_q, "change_quartiles": change_q,
         "base_iqr": iqr, "median_gain": gain,
         "gain_resolves": (wins >= 0.9 * pairs and p <= P_RESOLVES
-                          and gain > iqr),
-        "slower": losses >= 0.9 * pairs and p <= P_RESOLVES and -gain > iqr,
+                          and gain > floor),
+        "slower": losses >= 0.9 * pairs and p <= P_RESOLVES and -gain > floor,
         "regresses": -gain > bound * abs(base_q[1]),
     }
     result["verdict"] = (
@@ -352,15 +361,17 @@ def metric(run: dict, name: str):
 
 def summarize(runs: list, metrics: list, counts: list) -> dict:
     """One workload's or case's runs: failed runs per side, each (name,
-    better, bound) metric compared pair by pair, and each count per side
-    from the last run that reports it (a workload's traced run)."""
+    better, bound) metric compared pair by pair (peak_rss_mb with the step
+    RSS_STEP_MB), and each count per side from the last run that reports
+    it (a workload's traced run)."""
     sides = [[r for r in runs if r["side"] == side]
              for side in ("base", "change")]
     return {
         "failed": [sum(r["failed"] for r in side) for side in sides],
         "metrics": {name: compare(*[[metric(r, name) for r in side
                                      if not r.get("trace")]
-                                    for side in sides], better, bound)
+                                    for side in sides], better, bound,
+                                   RSS_STEP_MB * (name == "peak_rss_mb"))
                     for name, better, bound in metrics},
         "counts": {name: [next((metric(r, name) for r in side[::-1]
                                 if metric(r, name) is not None), None)

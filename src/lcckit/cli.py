@@ -31,8 +31,8 @@ from .baselines import hinge_objective, train_lda, train_linear_svm  # noqa
 from .discriminators import fit_discriminator  # noqa: F401
 from .kernel import median_pairwise_distance, train_klcc  # noqa: F401
 from .lcc import train_fqcc  # noqa: F401
-from .model_io import (PREDICT_BLOCK, ModelIoError, SavedClassifier,
-                       load_classifier, predict_saved, save_classifier)
+from .model_io import (ModelIoError, SavedClassifier, load_classifier,
+                       predict_saved, save_classifier)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -195,7 +195,7 @@ def cmd_predict(args) -> int:
     # the lines wait in a temporary file until every block has succeeded
     with tempfile.TemporaryFile("w+", encoding="utf-8") as tmp:
         tmp.write("label,score\n")
-        for block in read_blocks(args.data, PREDICT_BLOCK):
+        for block in read_blocks(args.data):
             feats = block
             # an extra last column of -1/+1 or 0/1 over every row so far
             if block.shape[1] - 1 == saved.original_n:

