@@ -27,7 +27,9 @@ of an RBF klcc model on 800 stored rows, made without training; `lcckit
 predict` on a CSV written first to a scratch directory.  All on
 `scale_data`, with lam 2, sigma -2^-7 and the RBF median width.  Last,
 `lcckit benchmark`'s procedure 1 with klcc,lcc,lda,svm over 20 runs on
-the 300-row spiral shape, seed 0, its klcc pivots summed.
+the 300-row spiral shape, seed 0, its klcc pivots summed; and ROADMAP's
+north-star command, procedure 1 with lcc,fqcc,lda,svm over 20 runs on
+the 400-row demo Gaussians, seed 42.
 
 Each workload's end-to-end metrics in BENCHMARK.json, and each case's
 time and peak RSS, are compared pair by pair: a win when the change's
@@ -93,6 +95,7 @@ CASES = {
     "predict_cli_1e5": ("predict_cli", 100_000),
     "predict_cli_1e6": ("predict_cli", 1_000_000),
     "p1_klcc_spiral": ("p1_klcc", 300),
+    "p1_gaussian_20": ("p1_gaussian", 400),
 }
 SHIFT = np.full(N_FEATURES, 0.5 / np.sqrt(N_FEATURES))   # class +1's mean
 KLCC_STORED_ROWS = 800
@@ -130,6 +133,11 @@ def case_routine(routine: str, rows: int, scratch: Path):
              "klcc,lcc,lda,svm", "--runs", "20", "--seed", "0", "--out",
              str(scratch)])
         return lambda: klcc_pivots(once)
+    if routine == "p1_gaussian":
+        return quiet_main(
+            ["benchmark", "--gen", f"gaussian:m_per_class={rows // 2}",
+             "--method", "lcc,fqcc,lda,svm", "--runs", "20", "--seed", "42",
+             "--out", str(scratch)])
     if routine == "dense_box":
         problem = dense_box(rows)
         return lambda: lp.solve(problem)

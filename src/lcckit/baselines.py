@@ -186,13 +186,14 @@ def train_linear_svm(train: Dataset,
         raise ParameterError(f"lam must be positive and finite, got {lam}")
     X, m = train.features, train.m
     y = train.labels.astype(np.float64)
-    box = 1.0 / m
+    positive, box = y > 0, 1.0 / m
     alpha = np.zeros(m)
     w = np.zeros(train.n)
     for _ in range(SMO_STEPS_PER_ROW * m):
         score = y - X @ w    # -y_t times the dual gradient
-        up = np.where(y > 0, alpha < box, alpha > 0.0)
-        low = np.where(y > 0, alpha > 0.0, alpha < box)
+        below, above = alpha < box, alpha > 0.0
+        up = np.where(positive, below, above)
+        low = np.where(positive, above, below)
         i = int(np.where(up, score, -np.inf).argmax())
         j = int(np.where(low, score, np.inf).argmin())
         gap = score[i] - score[j]

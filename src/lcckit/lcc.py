@@ -22,6 +22,7 @@ non-linear; it is minimized by projected subgradient descent from random
 restarts, stepped together as one batch.  Its per-instance slack has a
 closed form, so no explicit eps variables are needed, and each step takes
 every restart's value and subgradient from one projection of the rows.
+The descent stops once a step moves no restart by a bit, which is exact.
 """
 
 from __future__ import annotations
@@ -253,37 +254,42 @@ class FqccModel(Classifier):
         return np.where(scores <= 0, -1, 1), scores
 
 
+def _fqcc_slack(to_pos, to_neg, labels, sigma) -> np.ndarray:
+    """The slack max(sigma, y (|v - c_pos| - |v - c_neg|)) from offsets."""
+    return np.maximum(sigma, labels * (np.abs(to_pos) - np.abs(to_neg)))
+
+
 def fqcc_epsilons(projected: np.ndarray, labels: np.ndarray,
                   c_neg_hat: float, c_pos_hat: float,
                   sigma: float) -> np.ndarray:
     """Closed-form per-instance slack of the distance-based criterion,
     from projected values; (R, m) values take (R, 1) centers."""
-    violation = labels * (np.abs(projected - c_pos_hat)
-                          - np.abs(projected - c_neg_hat))
-    return np.maximum(sigma, violation)
+    return _fqcc_slack(projected - c_pos_hat, projected - c_neg_hat, labels,
+                       sigma)
 
 
 def _fqcc_frame(train: Dataset) -> tuple:
-    """The class centers, then the rows less each: what every step reuses."""
-    centers = class_centers(train)
-    return (*centers, *(train.features - center for center in centers))
+    """Centers, their difference, float labels, rows less each: step inputs."""
+    center_neg, center_pos = class_centers(train)
+    return (center_neg, center_pos, center_neg - center_pos,
+            train.labels.astype(np.float64), train.features - center_neg,
+            train.features - center_pos)
 
 
 def _fqcc_step(train: Dataset, B: np.ndarray, frame: tuple, lam: float,
                sigma: float):
     """(values, subgradients) of the distance-based criterion at each row
     of the (R, n) batch B: R values and an (R, n) array."""
-    center_neg, center_pos, from_neg, from_pos = frame
+    center_neg, center_pos, gap, labels, from_neg, from_pos = frame
     projected = B @ train.features.T
     c_neg_hat, c_pos_hat = B @ center_neg, B @ center_pos
-    eps = fqcc_epsilons(projected, train.labels, c_neg_hat[:, None],
-                        c_pos_hat[:, None], sigma)
+    to_pos, to_neg = (projected - c[:, None] for c in (c_pos_hat, c_neg_hat))
+    eps = _fqcc_slack(to_pos, to_neg, labels, sigma)
     values = -np.abs(c_neg_hat - c_pos_hat) + lam * eps.sum(axis=1)
-    weights = train.labels * (eps > sigma)
-    to_pos = weights * np.sign(projected - c_pos_hat[:, None])
-    to_neg = weights * np.sign(projected - c_neg_hat[:, None])
-    grads = (np.outer(np.sign(c_pos_hat - c_neg_hat), center_neg - center_pos)
-             + lam * (to_pos @ from_pos - to_neg @ from_neg))
+    weights = np.where(eps > sigma, labels, 0.0)   # +0.0, never -0.0
+    grads = (np.outer(np.sign(c_pos_hat - c_neg_hat), gap)
+             + lam * ((weights * np.sign(to_pos)) @ from_pos
+                      - (weights * np.sign(to_neg)) @ from_neg))
     return values, grads
 
 
@@ -303,6 +309,10 @@ def train_fqcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
     seeded uniform draws from the box.  A restart stops once its
     subgradient norm is below 1e-15.  The best iterate ever visited is
     returned; of equal values the lowest start wins, then the earliest step.
+
+    The loop ends once a step moves no restart by a bit, which is exact:
+    the unmoved batch repeats its values and subgradients, and a shorter
+    step 0.5/(|g| sqrt(t+1)) under monotone rounding moves it no more.
     """
     _check_params(lam, sigma)
     require_both_classes(train, "train_fqcc")
@@ -315,14 +325,18 @@ def train_fqcc(train: Dataset, lam: float = DEFAULT_LAMBDA,
     for t in range(FQCC_ITERATIONS + 1):
         values, grads = _fqcc_step(train, B, frame, lam, sigma)
         better = running & (values < best_values)
-        best_values[better], best_B[better] = values[better], B[better]
+        np.copyto(best_values, values, where=better)
+        np.copyto(best_B, B, where=better[:, None])
         norms = np.sqrt(np.sum(grads * grads, axis=1))
         running &= norms >= 1e-15
         if t == FQCC_ITERATIONS or not running.any():
             break
         steps = np.divide(0.5, norms * np.sqrt(t + 1.0),
                           out=np.zeros(FQCC_RESTARTS), where=running)
-        B = np.minimum(np.maximum(B - steps[:, None] * grads, -1.0), 1.0)
+        moved = np.minimum(np.maximum(B - steps[:, None] * grads, -1.0), 1.0)
+        if moved.tobytes() == B.tobytes():   # bits, as -0.0 == 0.0
+            break
+        B = moved
     best = int(np.argmin(best_values))
     c_neg_hat, c_pos_hat, _ = _projected_centers(best_B[best], *frame[:2])
     return FqccModel(best_B[best], c_neg_hat, c_pos_hat, float(lam),

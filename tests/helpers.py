@@ -7,11 +7,14 @@ enumeration for the 1-D SVM, a breakpoint-by-breakpoint loop for the
 hinge sweep, a query-by-value distance matrix for the nearest stored
 value, a row-by-row loop for the simplex crash basis, and one restart
 after another for the quadratic-criterion fit.  None of them share code
-with the package under test, except procedure_two_cold: it runs the
+with the package under test, except two: procedure_two_cold runs the
 package's own cold fits one grid value at a time, as procedure 2 did
-before its sigma chain, and so checks the chain, not the fits.  The
-last helpers split folds as procedure 2 does, count the calls a module
-makes to one of its names, and list the sigmas a path refuses.
+before its sigma chain, and so checks the chain, not the fits; and
+fqcc_full_loop runs the package's own fqcc step for every one of the
+FQCC_ITERATIONS steps, and so checks the early stop, not the step;
+fqcc_bits gives the bits the two fits are compared by.  The last
+helpers split folds as procedure 2 does, count the calls a module makes
+to one of its names, and list the sigmas a path refuses.
 """
 
 from __future__ import annotations
@@ -385,6 +388,44 @@ def fqcc_serial_oracle(features, labels, lam, sigma, seed, restarts,
             beta = np.clip(beta - 0.5 / (norm * math.sqrt(t + 1.0)) * grad,
                            -1.0, 1.0)
     return best_beta, best_value
+
+
+def fqcc_full_loop(train, lam, sigma, seed):
+    """The FqccModel of lcc.train_fqcc's batch loop with no early stop:
+    all FQCC_ITERATIONS steps, each restart until its subgradient norm
+    falls below 1e-15.  It looks up lcc._fqcc_step and lcc._fqcc_frame at
+    call time, so a test's patch of either reaches it."""
+    from lcckit import lcc
+
+    restarts = lcc.FQCC_RESTARTS
+    center_neg, center_pos, *_ = frame = lcc._fqcc_frame(train)
+    B = np.vstack([np.clip(center_pos - center_neg, -1.0, 1.0),
+                   np.random.default_rng(seed).uniform(
+                       -1.0, 1.0, (restarts - 1, train.n))])
+    best_B, best_values = B.copy(), np.full(restarts, np.inf)
+    running = np.ones(restarts, dtype=bool)
+    for t in range(lcc.FQCC_ITERATIONS + 1):
+        values, grads = lcc._fqcc_step(train, B, frame, lam, sigma)
+        better = running & (values < best_values)
+        best_values[better], best_B[better] = values[better], B[better]
+        norms = np.sqrt(np.sum(grads * grads, axis=1))
+        running &= norms >= 1e-15
+        if t == lcc.FQCC_ITERATIONS or not running.any():
+            break
+        steps = np.divide(0.5, norms * np.sqrt(t + 1.0),
+                          out=np.zeros(restarts), where=running)
+        B = np.minimum(np.maximum(B - steps[:, None] * grads, -1.0), 1.0)
+    best = int(np.argmin(best_values))
+    beta = best_B[best]
+    return lcc.FqccModel(beta, float(center_neg @ beta),
+                         float(center_pos @ beta), lam, sigma,
+                         float(best_values[best]))
+
+
+def fqcc_bits(model):
+    """The bits of an fqcc fit: beta, both centers and the objective."""
+    return np.hstack([model.beta, model.c_neg_hat, model.c_pos_hat,
+                      model.objective]).tobytes()
 
 
 def procedure_two_cold(config):

@@ -20,7 +20,7 @@ import numpy as np
 from lcckit.data import Dataset
 from lcckit.lcc import (FQCC_ITERATIONS, FQCC_RESTARTS, fqcc_objective,
                         train_fqcc)
-from tests.helpers import fqcc_serial_oracle
+from tests.helpers import fqcc_bits, fqcc_full_loop, fqcc_serial_oracle
 
 GOLDEN = json.loads((Path(__file__).parent / "data"
                      / "fqcc_golden.json").read_text())
@@ -30,7 +30,7 @@ DATASETS = {name: Dataset(np.array(d["features"]), np.array(d["labels"]))
 
 @functools.cache
 def fitted(i):
-    """train_fqcc on the i-th recorded input, fitted once for both tests."""
+    """train_fqcc on the i-th recorded input, fitted once for every test."""
     case = GOLDEN["train_fqcc"][i]
     return train_fqcc(DATASETS[case["data"]], case["lam"], case["sigma"],
                       seed=case["seed"])
@@ -62,3 +62,11 @@ def test_train_fqcc_no_worse_than_serial_oracle():
                                       case["sigma"], case["seed"],
                                       FQCC_RESTARTS, FQCC_ITERATIONS)
         assert fitted(i).objective <= value + 1e-12 * max(1.0, abs(value)), i
+
+
+def test_train_fqcc_stops_where_the_full_loop_ends():
+    # the early stop at a fixed point returns what all the steps return
+    for i, case in enumerate(GOLDEN["train_fqcc"]):
+        assert fqcc_bits(fitted(i)) == fqcc_bits(fqcc_full_loop(
+            DATASETS[case["data"]], case["lam"], case["sigma"],
+            case["seed"])), i

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from lcckit import lcc
+from lcckit.cli import parse_gen_spec
 from lcckit.data import Dataset, demo_gaussian_pair, gen_shape
-from lcckit.evaluation import GRID_SIGMA, METHODS, PARAM_DEFAULTS, _grid_aucs
+from lcckit.evaluation import (GRID_SIGMA, METHODS, PARAM_DEFAULTS,
+                               TRAIN_FRACTION, _grid_aucs, _normalized,
+                               stratified_split)
 from lcckit.lcc import (
     DEFAULT_LAMBDA,
     DEFAULT_SIGMA,
@@ -22,7 +25,8 @@ from lcckit.lcc import (
     train_fqcc,
     train_lcc,
 )
-from tests.helpers import (count_calls, fqcc_serial_oracle, grid_refusals,
+from tests.helpers import (count_calls, fqcc_bits, fqcc_full_loop,
+                           fqcc_serial_oracle, grid_refusals,
                            procedure_two_folds)
 
 
@@ -246,12 +250,45 @@ def test_fqcc_stopped_restart_keeps_its_iterate(monkeypatch):
         return values, grads
 
     monkeypatch.setattr(lcc, "_fqcc_step", step)
-    train_fqcc(demo_gaussian_pair(m_per_class=20, seed=3), seed=1)
-    assert len(seen) == FQCC_ITERATIONS + 1
+    data = demo_gaussian_pair(m_per_class=20, seed=3)
+    model = train_fqcc(data, seed=1)
+    assert len(seen) <= FQCC_ITERATIONS + 1
     for B in seen[1:]:
         np.testing.assert_array_equal(B[2], seen[0][2])
     others = [r for r in range(1, FQCC_RESTARTS) if r != 2]
     assert np.all(np.any(seen[1][others] != seen[0][others], axis=1))
+    assert fqcc_bits(model) == fqcc_bits(fqcc_full_loop(
+        data, DEFAULT_LAMBDA, DEFAULT_SIGMA, 1))
+
+
+def p1_train(seed):
+    """Procedure 1's normalized 70/30 train part of the demo Gaussians."""
+    return _normalized(*stratified_split(parse_gen_spec("gaussian", seed),
+                                         TRAIN_FRACTION, seed))[0]
+
+
+def test_fqcc_stop_matches_the_full_loop():
+    # procedure 1's splits, most of which stop within a dozen steps, and
+    # the demo pair with a zero and a constant column, whose subgradients
+    # are 0 there
+    demo = demo_gaussian_pair()
+    flat = Dataset(np.column_stack([demo.features, np.zeros(demo.m),
+                                    np.full(demo.m, 3.0)]), demo.labels)
+    for train, seed in [(p1_train(seed), seed) for seed in range(10)] + [
+            (flat, 0)]:
+        assert fqcc_bits(train_fqcc(train, seed=seed)) == fqcc_bits(
+            fqcc_full_loop(train, DEFAULT_LAMBDA, DEFAULT_SIGMA, seed)), seed
+
+
+def test_fqcc_stops_only_at_a_fixed_point(monkeypatch):
+    # separable splits reach box corners within a dozen steps; on
+    # overlapping circles no step leaves the batch as it was
+    calls = count_calls(monkeypatch, lcc, "_fqcc_step")
+    train_fqcc(p1_train(0), seed=0)
+    assert len(calls) <= 20
+    calls.clear()
+    train_fqcc(parse_gen_spec("circles:m=100", 0), seed=0)
+    assert len(calls) == FQCC_ITERATIONS + 1
 
 
 def test_fqcc_predicts_demo_pair():
